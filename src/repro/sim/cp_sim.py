@@ -44,6 +44,7 @@ from repro.faults.reroute import RerouteOutcome, RerouteRuntime
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.sim.metrics import SimulationResult
 from repro.switch.params import SwitchParams
+from repro.utils.validation import check_nonnegative
 
 
 def simulate_cp(
@@ -184,8 +185,8 @@ def _run(
     faults=None,
     backups=None,
 ) -> SimulationResult:
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    if horizon is not None:
+        horizon = check_nonnegative("horizon (ms; None runs to completion)", horizon)
     engine = FluidEngine(np.asarray(demand, dtype=np.float64), params)
     engine.assign_composite(filtered)
     injector = as_injector(faults, engine.n)

@@ -18,20 +18,31 @@ engine repeatedly:
 
 Every event drains at least one entry or ends the phase, so the engine
 performs O(non-zero entries + phases) rate computations per simulation.
+Most of them repeat the one before: when a circuit- or composite-served
+entry drains, the EPS flow set and its capacities do not change, so the
+max-min waterfill would return the same rates.  The engine keeps its last
+solve (flow positions, both capacity vectors, the rates) and reuses it when
+all three inputs are equal element for element (``np.array_equal``, no
+tolerance) — across phases too, until the support is rebuilt.  The
+waterfill is a pure function of those inputs, so reuse cannot move a bit of
+any output.
 
 Hot-path layout: all per-event state lives in flat 1-D arrays over the
 *support* — the entries that can ever carry volume (``demand > VOLUME_TOL``,
 refreshed when :meth:`FluidEngine.assign_composite` or
 :meth:`FluidEngine.merge_composite_into_regular` move volume around).  The
 full ``regular`` / ``composite`` matrices are gathered into the flat arrays
-once at the start of each phase and scattered back once at the end, so an
-event costs O(nnz + n) instead of the O(n²) the seed implementation paid
-for rebuilding full rate matrices (see :mod:`repro.sim.reference` for that
-frozen baseline).  The support's flat indices are stored row-major sorted,
-which makes each row a contiguous slice (one-to-many composite paths) and
-keeps the EPS flow ordering identical to a full-matrix ``np.nonzero`` —
-the flat engine's event sequence, drains and finish times are bit-identical
-to the reference engine's.
+once at the start of each phase and scattered back once at the end, and a
+phase's circuits are gathered from the permutation over the support (only
+circuits on entries that can carry volume matter).  A phase therefore
+costs O(nnz) to set up and an event O(nnz + n) plus at most one waterfill,
+instead of the O(n²) the seed implementation paid for rebuilding full rate
+matrices (see :mod:`repro.sim.reference` for that frozen baseline).  The
+support is stored in row-major order, which makes each row a contiguous
+slice (one-to-many composite paths) and keeps the EPS flow ordering
+identical to a full-matrix ``np.nonzero`` — the flat engine's event
+sequence, drains and finish times are bit-identical to the reference
+engine's.
 
 Demand placement: an entry's residual lives in exactly one of two matrices —
 ``regular`` (served by circuits + EPS) or ``composite`` (served only by
@@ -45,6 +56,7 @@ demanded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +125,8 @@ class FluidEngine:
         self.total_demand = float(demand.sum())
         self.released_composite = 0.0
         self._dust_snaps = 0
+        self._waterfills = 0
+        self._waterfills_reused = 0
         self._rebuild_support()
 
     # ------------------------------------------------------------------ #
@@ -133,10 +147,8 @@ class FluidEngine:
         self._rows = rows
         self._cols = cols
         self._nnz = rows.size
-        # Row-major nonzero order makes the flat keys strictly increasing,
-        # each row a contiguous slice, and the EPS flow order identical to
-        # a full-matrix np.nonzero scan.
-        self._flat = rows * np.int64(n) + cols
+        # Row-major nonzero order makes each row a contiguous slice and the
+        # EPS flow order identical to a full-matrix np.nonzero scan.
         self._row_start = np.searchsorted(rows, np.arange(n + 1))
         self._col_order = np.argsort(cols, kind="stable")
         self._col_start = np.searchsorted(cols[self._col_order], np.arange(n + 1))
@@ -149,15 +161,34 @@ class FluidEngine:
         self._scratch = np.empty(self._nnz)
         self._in_cap = np.empty(n)
         self._out_cap = np.empty(n)
+        # The last waterfill (flow positions, in_cap, out_cap, rates) holds
+        # support positions, so it dies with the support.
+        self._last_solve = None
 
-    def _positions_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Flat support positions of the (row, col) pairs that are in it."""
-        if rows.size == 0 or self._nnz == 0:
-            return _EMPTY_POS
-        keys = rows.astype(np.int64) * np.int64(self.n) + cols
-        pos = np.searchsorted(self._flat, keys)
-        pos = np.minimum(pos, self._nnz - 1)
-        return pos[self._flat[pos] == keys]
+    def _eps_rates(
+        self, flows: np.ndarray, in_cap: np.ndarray, out_cap: np.ndarray
+    ) -> np.ndarray:
+        """Max-min fair rates of the EPS ``flows``, reusing the last solve.
+
+        The waterfill is a pure function of the flows' endpoints and the
+        capacities, so when all three inputs equal the last call's (±0.0
+        capacities compare equal and both freeze their flows at rate 0),
+        its rates are returned as they are.  The returned array is
+        shared with the memo: callers read it and never write to it.
+        """
+        self._waterfills += 1
+        last = self._last_solve
+        if (
+            last is not None
+            and np.array_equal(flows, last[0])
+            and np.array_equal(in_cap, last[1])
+            and np.array_equal(out_cap, last[2])
+        ):
+            self._waterfills_reused += 1
+            return last[3]
+        rates = max_min_fair_rates(self._rows[flows], self._cols[flows], in_cap, out_cap)
+        self._last_solve = (flows, in_cap.copy(), out_cap.copy(), rates)
+        return rates
 
     # ------------------------------------------------------------------ #
     # demand placement
@@ -305,8 +336,8 @@ class FluidEngine:
         Parameters
         ----------
         duration:
-            Phase length (ms); ``None`` runs until all residual demand is
-            drained (the final EPS-only drain).
+            Phase length (ms), finite and non-negative; ``None`` runs until
+            all residual demand is drained (the final EPS-only drain).
         circuits:
             n×n 0/1 partial permutation of regular OCS circuits active in
             this phase, or ``None`` (e.g. during reconfiguration).
@@ -324,8 +355,12 @@ class FluidEngine:
         """
         open_ended = duration is None
         remaining = np.inf if open_ended else float(duration)
-        if not open_ended and remaining < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
+        if not (open_ended or (math.isfinite(remaining) and remaining >= 0)):
+            # NaN would run nothing and inf would end a segment at inf.
+            raise ValueError(
+                f"duration must be a finite non-negative number of ms, got "
+                f"{duration}; pass None to run until all residual demand drains"
+            )
         if eps_port_scale is None:
             base_cap = None
         else:
@@ -340,7 +375,9 @@ class FluidEngine:
 
         # ---- phase-constant bookkeeping --------------------------------
         if circuits is not None:
-            circuit_pos = self._positions_of(*np.nonzero(circuits))
+            # Gathered over the support: circuits on entries that can never
+            # carry volume serve nothing and are dropped.
+            circuit_pos = np.flatnonzero(circuits[self._rows, self._cols])
         else:
             circuit_pos = _EMPTY_POS
         services = []
@@ -379,6 +416,8 @@ class FluidEngine:
             )
             segments_before = len(self.segments)
             dust_before = self._dust_snaps
+            waterfills_before = self._waterfills
+            reused_before = self._waterfills_reused
 
         # ---- gather residuals over the support -------------------------
         reg = self.regular[self._rows, self._cols]
@@ -437,17 +476,15 @@ class FluidEngine:
                     else:
                         in_cap[live_partners] -= per_entry
                     composite_total += float(per_entry.sum())
-            np.clip(in_cap, 0.0, None, out=in_cap)
-            np.clip(out_cap, 0.0, None, out=out_cap)
+            np.maximum(in_cap, 0.0, out=in_cap)
+            np.maximum(out_cap, 0.0, out=out_cap)
 
             # EPS: everything regular that no circuit is serving right now.
             eps_total = 0.0
             if eps_enabled:
                 flows = np.nonzero((reg > VOLUME_TOL) & (reg_rate <= 0))[0]
                 if flows.size:
-                    eps_rates = max_min_fair_rates(
-                        self._rows[flows], self._cols[flows], in_cap, out_cap
-                    )
+                    eps_rates = self._eps_rates(flows, in_cap, out_cap)
                     reg_rate[flows] += eps_rates
                     eps_total = float(eps_rates.sum())
 
@@ -478,8 +515,8 @@ class FluidEngine:
             np.subtract(reg, self._scratch, out=reg)
             np.multiply(comp_rate, dt, out=self._scratch)
             np.subtract(comp, self._scratch, out=comp)
-            np.clip(reg, 0.0, None, out=reg)
-            np.clip(comp, 0.0, None, out=comp)
+            np.maximum(reg, 0.0, out=reg)
+            np.maximum(comp, 0.0, out=comp)
             # Snap float dust to exact zero so drained entries stay drained.
             reg[reg <= VOLUME_TOL] = 0.0
             comp[comp <= VOLUME_TOL] = 0.0
@@ -519,8 +556,16 @@ class FluidEngine:
         if obs_on:
             events = len(self.segments) - segments_before
             dust = self._dust_snaps - dust_before
+            reused = self._waterfills_reused - reused_before
             if span is not None:
-                tracer.end(span, events=events, dust_snaps=dust, clock_ms=self.clock)
+                tracer.end(
+                    span,
+                    events=events,
+                    dust_snaps=dust,
+                    waterfills=self._waterfills - waterfills_before,
+                    waterfills_reused=reused,
+                    clock_ms=self.clock,
+                )
             metrics = obs.get_metrics()
             if metrics.enabled:
                 metrics.counter(
@@ -534,6 +579,10 @@ class FluidEngine:
                         "engine_dust_snaps_total",
                         "sub-tolerance residuals snapped to zero",
                     ).inc(dust)
+                metrics.counter(
+                    "engine_waterfill_reused_total",
+                    "EPS waterfills answered by reusing the previous solve",
+                ).inc(reused)
 
     def _snap_dust(
         self,

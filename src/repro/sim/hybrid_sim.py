@@ -26,6 +26,7 @@ from repro.hybrid.schedule import Schedule
 from repro.sim.engine import FluidEngine
 from repro.sim.metrics import SimulationResult
 from repro.switch.params import SwitchParams
+from repro.utils.validation import check_nonnegative
 
 
 def simulate_hybrid(
@@ -48,7 +49,7 @@ def simulate_hybrid(
         Switch parameters; ``params.reconfig_delay`` should match
         ``schedule.reconfig_delay``.
     horizon:
-        Optional execution budget (ms).  ``None`` runs to completion;
+        Optional finite execution budget (ms).  ``None`` runs to completion;
         otherwise execution stops at the horizon and the result carries
         the residual demand.
     faults:
@@ -64,8 +65,8 @@ def simulate_hybrid(
             f"demand is {demand.shape[0]}x{demand.shape[0]}; "
             "use simulate_cp for reduced cp-Switch schedules"
         )
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    if horizon is not None:
+        horizon = check_nonnegative("horizon (ms; None runs to completion)", horizon)
     engine = FluidEngine(demand, params)
     injector = as_injector(faults, demand.shape[0])
     eps_scale = injector.eps_port_scale if injector is not None else None

@@ -59,8 +59,8 @@ def max_min_fair_rates(
     out_rem = np.asarray(out_capacity, dtype=np.float64).copy()
     if np.any(in_rem < -_RATE_TOL) or np.any(out_rem < -_RATE_TOL):
         raise ValueError("capacities must be non-negative")
-    np.clip(in_rem, 0.0, None, out=in_rem)
-    np.clip(out_rem, 0.0, None, out=out_rem)
+    np.maximum(in_rem, 0.0, out=in_rem)
+    np.maximum(out_rem, 0.0, out=out_rem)
 
     # Active-flow arrays shrink as flows freeze, so later rounds touch
     # progressively less data.  Each round saturates at least one port, so

@@ -260,6 +260,22 @@ class TestInstrumentation:
         assert snapshot["engine_phases_total"]["values"][0]["value"] > 0
         assert snapshot["solstice_slices_total"]["values"][0]["value"] > 0
 
+    def test_engine_phase_reports_waterfill_reuse(self):
+        demand = _demand()
+        schedule = SolsticeScheduler().schedule(demand, PARAMS)
+        plain = simulate_hybrid(demand, schedule, PARAMS)
+        tracer, registry = JsonlTracer(), MetricsRegistry()
+        with obs.observability(tracer=tracer, metrics=registry):
+            traced = simulate_hybrid(demand, schedule, PARAMS)
+        assert traced.finish_times.tobytes() == plain.finish_times.tobytes()
+        assert traced.segments == plain.segments
+        phases = [r["attrs"] for r in tracer.records() if r["name"] == "engine.phase"]
+        reused = sum(attrs["waterfills_reused"] for attrs in phases)
+        assert all(0 <= a["waterfills_reused"] <= a["waterfills"] for a in phases)
+        assert reused > 0
+        (entry,) = registry.snapshot()["engine_waterfill_reused_total"]["values"]
+        assert entry["value"] == reused
+
     def test_cp_pipeline_spans(self):
         demand = _demand(1)
         tracer = JsonlTracer()

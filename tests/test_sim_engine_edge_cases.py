@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ class TestDegenerateInputs:
         engine = engine_for(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             engine.run_phase(-1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        # NaN used to run nothing; inf drained the demand, then ended a
+        # segment at inf and turned the residual into NaN.
+        engine = engine_for(np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValueError, match="finite non-negative.*pass None"):
+            engine.run_phase(duration)
+        assert engine.clock == 0.0
+        assert engine.segments == []
+        engine.run_phase(None)
+        assert engine.residual_total() == 0.0
+        assert np.isfinite(engine.clock)
 
     def test_demand_params_shape_mismatch(self):
         with pytest.raises(ValueError):

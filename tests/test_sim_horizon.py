@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.analysis.controller import EpochController
+from repro.core.multipath import MultiPathCpScheduler
 from repro.core.scheduler import CpSwitchScheduler
 from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.hybrid.solstice import SolsticeScheduler
-from repro.sim import simulate_cp, simulate_hybrid
+from repro.sim import simulate_cp, simulate_hybrid, simulate_multipath
 from repro.switch.params import fast_ocs_params
 
 
@@ -89,6 +92,36 @@ class TestCpHorizon:
         assert bounded.finished
         assert bounded.completion_time == pytest.approx(unbounded.completion_time)
         assert bounded.served_composite == pytest.approx(unbounded.served_composite)
+
+
+class TestNonFiniteHorizon:
+    """NaN passed the old ``< 0`` check; inf ended a segment at inf and left NaN residual."""
+
+    @pytest.fixture
+    def params(self):
+        return fast_ocs_params(16)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_simulate_hybrid_rejects(self, skewed_demand16, params, horizon):
+        schedule = SolsticeScheduler().schedule(skewed_demand16, params)
+        with pytest.raises(ValueError, match="horizon .*finite non-negative"):
+            simulate_hybrid(skewed_demand16, schedule, params, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_simulate_cp_rejects(self, skewed_demand16, params, horizon):
+        schedule = CpSwitchScheduler(SolsticeScheduler()).schedule(
+            skewed_demand16, params
+        )
+        with pytest.raises(ValueError, match="horizon .*finite non-negative"):
+            simulate_cp(skewed_demand16, schedule, params, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_simulate_multipath_rejects(self, skewed_demand16, params, horizon):
+        schedule = MultiPathCpScheduler(SolsticeScheduler(), n_paths=2).schedule(
+            skewed_demand16, params
+        )
+        with pytest.raises(ValueError, match="horizon .*finite non-negative"):
+            simulate_multipath(skewed_demand16, schedule, params, horizon=horizon)
 
 
 class TestSustainedLoadController:
