@@ -18,14 +18,21 @@ engine repeatedly:
 
 Every event drains at least one entry or ends the phase, so the engine
 performs O(non-zero entries + phases) rate computations per simulation.
-Most of them repeat the one before: when a circuit- or composite-served
-entry drains, the EPS flow set and its capacities do not change, so the
-max-min waterfill would return the same rates.  The engine keeps its last
-solve (flow positions, both capacity vectors, the rates) and reuses it when
-all three inputs are equal element for element (``np.array_equal``, no
-tolerance) — across phases too, until the support is rebuilt.  The
-waterfill is a pure function of those inputs, so reuse cannot move a bit of
-any output.
+Within a phase the rates are a function of which entries are *live*
+(residual above ``VOLUME_TOL``) and of nothing else, and the live set only
+shrinks.  So after a phase's first event the engine recomputes only what a
+drain touches: a drained circuit leaves the live circuits, a drained EPS
+flow leaves the flow set (and the waterfill is re-solved), and a drained
+composite entry changes the composite rates and the EPS capacities they
+reserve (re-solved too).  A circuit-only drain leaves the EPS rates as
+they are.  Each recomputed part runs the same operations on the same live
+set as a from-scratch computation, so the rates are the same bits.
+
+Across phases the engine keeps its last waterfill (flow positions, both
+capacity vectors, the rates) and reuses it when all three inputs are equal
+element for element (``np.array_equal``, no tolerance), until the support
+is rebuilt.  The waterfill is a pure function of those inputs, so reuse
+cannot move a bit of any output.
 
 Hot-path layout: all per-event state lives in flat 1-D arrays over the
 *support* — the entries that can ever carry volume (``demand > VOLUME_TOL``,
@@ -34,24 +41,31 @@ refreshed when :meth:`FluidEngine.assign_composite` or
 full ``regular`` / ``composite`` matrices are gathered into the flat arrays
 once at the start of each phase and scattered back once at the end, and a
 phase's circuits are gathered from the permutation over the support (only
-circuits on entries that can carry volume matter).  A phase therefore
-costs O(nnz) to set up and an event O(nnz + n) plus at most one waterfill,
-instead of the O(n²) the seed implementation paid for rebuilding full rate
-matrices (see :mod:`repro.sim.reference` for that frozen baseline).  The
-support is stored in row-major order, which makes each row a contiguous
-slice (one-to-many composite paths) and keeps the EPS flow ordering
-identical to a full-matrix ``np.nonzero`` — the flat engine's event
-sequence, drains and finish times are bit-identical to the reference
-engine's.
+circuits on entries that can carry volume matter).  The engine also keeps
+the positions served at a positive rate and those rates, so the drain
+time, the advance and the finish-time booking touch only served entries.
+The phase's first advance is a full pass over the support that also snaps
+unserved dust to exact zero; after it an unserved entry's residual never
+changes.  A phase therefore costs O(nnz) to set up and an event
+O(served) plus, when a drain changes the rates, O(nnz + n) and at most
+one waterfill — instead of the O(n²) the seed implementation paid for
+rebuilding full rate matrices (see :mod:`repro.sim.reference` for that
+frozen baseline).  The support is stored in row-major order, which makes
+each row a contiguous slice (one-to-many composite paths) and keeps the
+EPS flow ordering identical to a full-matrix ``np.nonzero`` — the flat
+engine's event sequence, drains and finish times are bit-identical to the
+reference engine's.
 
-Demand placement: an entry's residual lives in exactly one of two matrices —
-``regular`` (served by circuits + EPS) or ``composite`` (served only by
-composite paths while the schedule runs).  ``merge_composite_into_regular``
-moves unfinished composite residual back to the EPS for the final drain,
-matching the paper's model where filtered traffic not completed by the
-composite paths is ordinary packet traffic.  Entries at or below
-``VOLUME_TOL`` are dust: they are never served and never counted as
-demanded.
+Demand placement: an entry's residual lives in two matrices — ``regular``
+(served by circuits + EPS) and ``composite`` (served only by composite
+paths while the schedule runs).  Usually only one of them holds it, but
+:meth:`FluidEngine.repark_composite` moves only ``min(filtered, regular)``,
+so one entry can be split across both; it finishes when both have
+drained.  ``merge_composite_into_regular`` moves unfinished composite
+residual back to the EPS for the final drain, matching the paper's model
+where filtered traffic not completed by the composite paths is ordinary
+packet traffic.  Entries at or below ``VOLUME_TOL`` are dust: they are
+never served and never counted as demanded.
 """
 
 from __future__ import annotations
@@ -71,6 +85,27 @@ from repro.utils.validation import VOLUME_TOL, check_demand_matrix
 TIME_TOL: float = 1e-12
 
 _EMPTY_POS = np.empty(0, dtype=np.int64)
+
+
+def _advance_served(
+    residual: np.ndarray, served: np.ndarray, rates: np.ndarray, dt: float
+) -> np.ndarray:
+    """Serve ``residual[served]`` at ``rates`` for ``dt``, snapping drained
+    entries to exact zero; returns the positions that drained.
+
+    The same element-wise operations as a full-array advance, applied to
+    the served positions only (an unserved entry's residual is unchanged
+    by them once the phase's first advance has zeroed its dust).
+    """
+    if served.size == 0:
+        return _EMPTY_POS
+    left = residual[served]
+    left -= rates * dt
+    np.maximum(left, 0.0, out=left)
+    gone = left <= VOLUME_TOL
+    left[gone] = 0.0
+    residual[served] = left
+    return served[gone]
 
 
 @dataclass(frozen=True)
@@ -422,80 +457,80 @@ class FluidEngine:
         # ---- gather residuals over the support -------------------------
         reg = self.regular[self._rows, self._cols]
         comp = self.composite[self._rows, self._cols]
-        params = self.params
-        ocs_rate = params.ocs_rate
-        eps_budget = params.effective_eps_budget
+        ocs_rate = self.params.ocs_rate
         reg_rate = self._reg_rate
         comp_rate = self._comp_rate
         in_cap = self._in_cap
         out_cap = self._out_cap
 
+        # Within a phase the rates are a function of which entries are live
+        # (residual > VOLUME_TOL) and nothing else, and the live set only
+        # shrinks.  So after the first event only the parts an entry's drain
+        # touches are recomputed: a drained circuit drops out of the live
+        # circuits, a drained EPS flow out of the flow set (re-solving the
+        # waterfill), and a drained composite entry changes the composite
+        # rates and the capacities they reserve (re-solving too).  ``sr`` /
+        # ``sc`` hold the positions with a positive regular / composite
+        # rate and ``rr`` / ``cr`` those rates, so the drain time, the
+        # advance and the finish-time booking touch only served entries.
+        rebuild = True  # recompute every rate (phase start, after a snap)
+        first_advance = True
+        drained_reg = drained_comp = _EMPTY_POS
         while remaining > TIME_TOL:
-            # -- rates for the current residuals --
-            reg_rate.fill(0.0)
-            comp_rate.fill(0.0)
-            if base_cap is None:
-                in_cap.fill(params.eps_rate)
-                out_cap.fill(params.eps_rate)
-            else:
-                in_cap[:] = base_cap
-                out_cap[:] = base_cap
-
-            # Regular OCS circuits.
-            circuit_total = 0.0
-            if circuit_pos.size:
-                live = circuit_pos[reg[circuit_pos] > VOLUME_TOL]
-                reg_rate[live] = ocs_rate
-                circuit_total = ocs_rate * live.size
-
-            # Composite paths: CPSched rates + EPS reservation.
-            composite_total = 0.0
-            for is_o2m, positions, partners in services:
-                if positions.size == 0:
-                    continue
-                active = comp[positions] > VOLUME_TOL
-                count = int(np.count_nonzero(active))
-                if count == 0:
-                    continue
-                rate = min(eps_budget, ocs_rate / count)
-                if base_cap is None:
-                    comp_rate[positions[active]] += rate
-                    if is_o2m:
-                        out_cap[partners[active]] -= rate  # destination EPS links
-                    else:
-                        in_cap[partners[active]] -= rate  # source EPS links
-                    composite_total += rate * count
-                else:
-                    # Each filtered entry's EPS leg is capped by its own
-                    # (possibly degraded) link rate.
-                    live_partners = partners[active]
-                    per_entry = np.minimum(rate, base_cap[live_partners])
-                    comp_rate[positions[active]] += per_entry
-                    if is_o2m:
-                        out_cap[live_partners] -= per_entry
-                    else:
-                        in_cap[live_partners] -= per_entry
-                    composite_total += float(per_entry.sum())
-            np.maximum(in_cap, 0.0, out=in_cap)
-            np.maximum(out_cap, 0.0, out=out_cap)
-
-            # EPS: everything regular that no circuit is serving right now.
-            eps_total = 0.0
-            if eps_enabled:
-                flows = np.nonzero((reg > VOLUME_TOL) & (reg_rate <= 0))[0]
+            # -- rates for the current live set --
+            solve = False
+            if rebuild:
+                rebuild = False
+                reg_rate.fill(0.0)
+                circuit_total = 0.0
+                live_circuits = _EMPTY_POS
+                if circuit_pos.size:
+                    live_circuits = circuit_pos[reg[circuit_pos] > VOLUME_TOL]
+                    reg_rate[live_circuits] = ocs_rate
+                    circuit_total = ocs_rate * live_circuits.size
+                composite_total = self._composite_rates(services, comp, base_cap)
+                # EPS: everything regular that no circuit is serving.
+                flows = (
+                    np.flatnonzero((reg > VOLUME_TOL) & (reg_rate <= 0))
+                    if eps_enabled
+                    else _EMPTY_POS
+                )
+                solve = True
+                sc = np.flatnonzero(comp_rate > 0)
+                cr = comp_rate[sc]
+            elif drained_reg.size or drained_comp.size:
+                if drained_reg.size:
+                    reg_rate[drained_reg] = 0.0
+                    if live_circuits.size:
+                        live_circuits = live_circuits[reg[live_circuits] > VOLUME_TOL]
+                        circuit_total = ocs_rate * live_circuits.size
+                    if flows.size:
+                        live_flows = flows[reg[flows] > VOLUME_TOL]
+                        solve = live_flows.size != flows.size
+                        flows = live_flows
+                if drained_comp.size:
+                    composite_total = self._composite_rates(services, comp, base_cap)
+                    solve = True
+                    sc = np.flatnonzero(comp_rate > 0)
+                    cr = comp_rate[sc]
+                if not solve:
+                    sr = sr[reg_rate[sr] > 0]
+                    rr = reg_rate[sr]
+            if solve:
+                eps_total = 0.0
                 if flows.size:
                     eps_rates = self._eps_rates(flows, in_cap, out_cap)
-                    reg_rate[flows] += eps_rates
+                    reg_rate[flows] = eps_rates
                     eps_total = float(eps_rates.sum())
+                sr = np.flatnonzero(reg_rate > 0)
+                rr = reg_rate[sr]
 
             # -- time until the earliest served entry drains --
             dt_event = np.inf
-            served = reg_rate > 0
-            if served.any():
-                dt_event = min(dt_event, float((reg[served] / reg_rate[served]).min()))
-            served = comp_rate > 0
-            if served.any():
-                dt_event = min(dt_event, float((comp[served] / comp_rate[served]).min()))
+            if sr.size:
+                dt_event = min(dt_event, float((reg[sr] / rr).min()))
+            if sc.size:
+                dt_event = min(dt_event, float((comp[sc] / cr).min()))
             if not np.isfinite(dt_event) and open_ended:
                 break  # nothing left to serve
 
@@ -507,29 +542,33 @@ class FluidEngine:
                 # served.  (The seed engine idled out the whole remaining
                 # phase here, silently skipping service for everyone.)
                 self._snap_dust(reg, comp, reg_rate, comp_rate)
+                rebuild = True
+                drained_reg = drained_comp = _EMPTY_POS
                 continue
 
             # -- advance time by dt at the computed rates --
-            np.add(reg, comp, out=self._before)
-            np.multiply(reg_rate, dt, out=self._scratch)
-            np.subtract(reg, self._scratch, out=reg)
-            np.multiply(comp_rate, dt, out=self._scratch)
-            np.subtract(comp, self._scratch, out=comp)
-            np.maximum(reg, 0.0, out=reg)
-            np.maximum(comp, 0.0, out=comp)
-            # Snap float dust to exact zero so drained entries stay drained.
-            reg[reg <= VOLUME_TOL] = 0.0
-            comp[comp <= VOLUME_TOL] = 0.0
-            np.add(reg, comp, out=self._after)
-
-            newly_done = (
-                self._flat_demanded
-                & (self._before > VOLUME_TOL)
-                & (self._after <= VOLUME_TOL)
-            )
-            if newly_done.any():
-                done = np.nonzero(newly_done)[0]
-                self.finish_times[self._rows[done], self._cols[done]] = self.clock + dt
+            if first_advance:
+                # One full pass: it also snaps unserved dust to exact zero,
+                # after which an unserved entry never changes again.
+                first_advance = False
+                self._advance_all(reg, comp, reg_rate, comp_rate, dt)
+                drained_reg = sr[reg[sr] <= VOLUME_TOL]
+                drained_comp = sc[comp[sc] <= VOLUME_TOL]
+            else:
+                drained_reg = _advance_served(reg, sr, rr, dt)
+                drained_comp = _advance_served(comp, sc, cr, dt)
+                if drained_reg.size or drained_comp.size:
+                    # An entry may be split across both matrices (see
+                    # repark_composite): it finishes when both are empty.
+                    drained = np.concatenate((drained_reg, drained_comp))
+                    done = drained[
+                        self._flat_demanded[drained]
+                        & (reg[drained] + comp[drained] <= VOLUME_TOL)
+                    ]
+                    if done.size:
+                        self.finish_times[self._rows[done], self._cols[done]] = (
+                            self.clock + dt
+                        )
 
             # dt never exceeds residual/rate for any served entry, so
             # rate*dt is the exact served volume per mechanism (up to the
@@ -584,6 +623,89 @@ class FluidEngine:
                     "EPS waterfills answered by reusing the previous solve",
                 ).inc(reused)
 
+    def _composite_rates(self, services, comp: np.ndarray, base_cap) -> float:
+        """CPSched rates of the live composite entries and their EPS
+        reservation: fills ``_comp_rate`` and the EPS capacities left for
+        regular flows (``_in_cap`` / ``_out_cap``); returns the total
+        composite rate."""
+        params = self.params
+        comp_rate = self._comp_rate
+        in_cap = self._in_cap
+        out_cap = self._out_cap
+        ocs_rate = params.ocs_rate
+        eps_budget = params.effective_eps_budget
+        comp_rate.fill(0.0)
+        if base_cap is None:
+            in_cap.fill(params.eps_rate)
+            out_cap.fill(params.eps_rate)
+        else:
+            in_cap[:] = base_cap
+            out_cap[:] = base_cap
+        composite_total = 0.0
+        for is_o2m, positions, partners in services:
+            if positions.size == 0:
+                continue
+            active = comp[positions] > VOLUME_TOL
+            count = int(np.count_nonzero(active))
+            if count == 0:
+                continue
+            rate = min(eps_budget, ocs_rate / count)
+            if base_cap is None:
+                comp_rate[positions[active]] += rate
+                if is_o2m:
+                    out_cap[partners[active]] -= rate  # destination EPS links
+                else:
+                    in_cap[partners[active]] -= rate  # source EPS links
+                composite_total += rate * count
+            else:
+                # Each filtered entry's EPS leg is capped by its own
+                # (possibly degraded) link rate.
+                live_partners = partners[active]
+                per_entry = np.minimum(rate, base_cap[live_partners])
+                comp_rate[positions[active]] += per_entry
+                if is_o2m:
+                    out_cap[live_partners] -= per_entry
+                else:
+                    in_cap[live_partners] -= per_entry
+                composite_total += float(per_entry.sum())
+        np.maximum(in_cap, 0.0, out=in_cap)
+        np.maximum(out_cap, 0.0, out=out_cap)
+        return composite_total
+
+    def _advance_all(
+        self,
+        reg: np.ndarray,
+        comp: np.ndarray,
+        reg_rate: np.ndarray,
+        comp_rate: np.ndarray,
+        dt: float,
+    ) -> None:
+        """Advance every support entry by ``dt``, snap all dust (served or
+        not) to exact zero and book the finish times of drained entries."""
+        np.add(reg, comp, out=self._before)
+        np.multiply(reg_rate, dt, out=self._scratch)
+        np.subtract(reg, self._scratch, out=reg)
+        np.multiply(comp_rate, dt, out=self._scratch)
+        np.subtract(comp, self._scratch, out=comp)
+        np.maximum(reg, 0.0, out=reg)
+        np.maximum(comp, 0.0, out=comp)
+        reg[reg <= VOLUME_TOL] = 0.0
+        comp[comp <= VOLUME_TOL] = 0.0
+        self._book_drained(reg, comp, self.clock + dt)
+
+    def _book_drained(self, reg: np.ndarray, comp: np.ndarray, when: float) -> None:
+        """Record ``when`` as the finish time of every demanded entry that
+        held volume in ``_before`` and holds none in ``reg + comp``."""
+        np.add(reg, comp, out=self._after)
+        newly_done = (
+            self._flat_demanded
+            & (self._before > VOLUME_TOL)
+            & (self._after <= VOLUME_TOL)
+        )
+        if newly_done.any():
+            done = np.nonzero(newly_done)[0]
+            self.finish_times[self._rows[done], self._cols[done]] = when
+
     def _snap_dust(
         self,
         reg: np.ndarray,
@@ -608,15 +730,7 @@ class FluidEngine:
             np.divide(residual, rate, out=self._scratch, where=served)
             self._scratch[~served] = np.inf
             residual[self._scratch <= TIME_TOL] = 0.0
-        np.add(reg, comp, out=self._after)
-        newly_done = (
-            self._flat_demanded
-            & (self._before > VOLUME_TOL)
-            & (self._after <= VOLUME_TOL)
-        )
-        if newly_done.any():
-            done = np.nonzero(newly_done)[0]
-            self.finish_times[self._rows[done], self._cols[done]] = self.clock
+        self._book_drained(reg, comp, self.clock)
 
     # ------------------------------------------------------------------ #
     # result

@@ -7,10 +7,19 @@ classic water-filling allocation, which is what per-VOQ fair queueing on a
 crossbar converges to.  (The packet-level cross-check in
 :mod:`repro.sim.packetlevel` validates the abstraction.)
 
-The algorithm is vectorized progressive filling: all unfrozen flows grow at
-the same rate until some port saturates; flows through saturated ports
-freeze; repeat.  Each round saturates at least one port, so there are at
-most ``2n`` rounds of O(E) numpy work.
+The algorithm is progressive filling over one fused port vector: inputs
+first, then outputs, so a flow is the pair of port indices ``(row,
+n_in + col)``.  All unfrozen flows grow at the same rate until some port
+saturates; flows through saturated ports freeze at the common level;
+repeat.  A round is a fixed handful of numpy calls on arrays of at most
+``n_in + n_out`` ports and ``2E`` flow endpoints — one ``bincount``, one
+division, one ``min``, the capacity update, the saturation test and one
+gather that freezes flows from both sides — and every round saturates at
+least one port, so there are at most ``n_in + n_out`` rounds.  Each
+port's remaining capacity sees the same IEEE operations in the same order
+as a per-side formulation would apply, and a flow's rate is the scalar
+running level ``0 + s₁ + s₂ + …`` at the round it froze, so the result
+does not depend on how the rounds are vectorised.
 """
 
 from __future__ import annotations
@@ -32,11 +41,12 @@ def max_min_fair_rates(
     ----------
     rows, cols:
         Flow endpoints: flow ``k`` goes from input ``rows[k]`` to output
-        ``cols[k]``.  Multiple flows may share endpoints.
+        ``cols[k]``.  Multiple flows may share endpoints.  Must lie in
+        ``[0, n_in)`` and ``[0, n_out)``.
     in_capacity, out_capacity:
-        Per-port available capacities (Mb/ms).  May be zero (e.g. a link
-        fully reserved by a composite path), in which case flows through
-        that port get rate 0.
+        1-D per-port available capacities (Mb/ms), finite and
+        non-negative.  May be zero (e.g. a link fully reserved by a
+        composite path), in which case flows through that port get rate 0.
 
     Returns
     -------
@@ -48,56 +58,76 @@ def max_min_fair_rates(
     cols = np.asarray(cols, dtype=np.int64)
     if rows.shape != cols.shape or rows.ndim != 1:
         raise ValueError("rows and cols must be 1-D arrays of equal length")
+    in_capacity = np.asarray(in_capacity, dtype=np.float64)
+    out_capacity = np.asarray(out_capacity, dtype=np.float64)
+    if in_capacity.ndim != 1 or out_capacity.ndim != 1:
+        raise ValueError(
+            f"capacities must be 1-D per-port vectors, got in_capacity shape "
+            f"{in_capacity.shape} and out_capacity shape {out_capacity.shape}"
+        )
+    n_in = in_capacity.size
+    n_ports = n_in + out_capacity.size
+    # Remaining capacity of every port: inputs, then outputs (a copy).
+    rem = np.concatenate((in_capacity, out_capacity))
+    if n_ports:
+        lowest, highest = rem.min(), rem.max()
+        if not (np.isfinite(lowest) and np.isfinite(highest)):
+            raise ValueError(
+                "capacities must be finite: a port without a limit has no "
+                "max-min share; pass its line rate instead of inf/nan"
+            )
+        if lowest < -_RATE_TOL:
+            raise ValueError("capacities must be non-negative")
     n_flows = rows.size
-    rates = np.zeros(n_flows, dtype=np.float64)
     if n_flows == 0:
-        return rates
+        return np.zeros(0, dtype=np.float64)
+    # Negative ids wrap to huge unsigned values, so one max per side
+    # bounds-checks both ends.
+    if rows.view(np.uint64).max() >= n_in or cols.view(np.uint64).max() >= n_ports - n_in:
+        raise ValueError(
+            f"flow endpoints out of range: rows must lie in [0, {n_in}) and "
+            f"cols in [0, {n_ports - n_in}) for the given capacity vectors"
+        )
 
-    n_in = int(in_capacity.shape[0])
-    n_out = int(out_capacity.shape[0])
-    in_rem = np.asarray(in_capacity, dtype=np.float64).copy()
-    out_rem = np.asarray(out_capacity, dtype=np.float64).copy()
-    if np.any(in_rem < -_RATE_TOL) or np.any(out_rem < -_RATE_TOL):
-        raise ValueError("capacities must be non-negative")
-    np.maximum(in_rem, 0.0, out=in_rem)
-    np.maximum(out_rem, 0.0, out=out_rem)
-
-    # Active-flow arrays shrink as flows freeze, so later rounds touch
-    # progressively less data.  Each round saturates at least one port, so
-    # the loop runs at most n_in + n_out times.
-    active_idx = np.arange(n_flows)
-    active_rows = rows
-    active_cols = cols
-    for _round in range(n_in + n_out + 1):
-        if active_idx.size == 0:
-            break
-        in_count = np.bincount(active_rows, minlength=n_in)
-        out_count = np.bincount(active_cols, minlength=n_out)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            in_share = np.where(in_count > 0, in_rem / np.maximum(in_count, 1), np.inf)
-            out_share = np.where(out_count > 0, out_rem / np.maximum(out_count, 1), np.inf)
-        step = min(in_share.min(), out_share.min())
-        if step > _RATE_TOL and np.isfinite(step):
-            rates[active_idx] += step
-            in_rem -= step * in_count
-            out_rem -= step * out_count
-            np.maximum(in_rem, 0.0, out=in_rem)
-            np.maximum(out_rem, 0.0, out=out_rem)
-        # Freeze flows through ports that are now saturated (or whose
-        # remaining capacity is below one per-flow tolerance share — such
-        # ports would otherwise stall the filling loop with sub-tolerance
-        # steps forever).
-        in_saturated = (in_rem <= _RATE_TOL * np.maximum(in_count, 1)) & (in_count > 0)
-        out_saturated = (out_rem <= _RATE_TOL * np.maximum(out_count, 1)) & (out_count > 0)
-        frozen_now = in_saturated[active_rows] | out_saturated[active_cols]
-        if not frozen_now.any():
-            # No port saturated: all remaining shares were infinite, which
-            # cannot happen while counts are positive; defensive break.
-            break
-        keep = ~frozen_now
-        active_idx = active_idx[keep]
-        active_rows = active_rows[keep]
-        active_cols = active_cols[keep]
+    ends = np.concatenate((rows, cols + n_in)).reshape(2, n_flows)
+    count = np.bincount(ends.ravel(), minlength=n_ports)
+    # A port without flows (or, below, one that saturated and froze all of
+    # its flows) gets infinite remaining capacity: its share ``rem / 0`` is
+    # then +inf instead of nan, and it can never test as saturated again.
+    # Orphaned ports (every flow frozen at its other end) keep a remainder
+    # above the saturation tolerance, so they share +inf and stay
+    # unsaturated too.  Negative remainders (capacities within tolerance
+    # of zero, overshoot of the bottleneck) are never clamped: every such
+    # port tests saturated in the same round, exactly as a clamp to zero
+    # would.
+    rem[count == 0] = np.inf
+    # The level at which each port saturated; a flow freezes at the first
+    # of its two ports to saturate, and levels never decrease.
+    sat_level = np.full(n_ports, np.inf)
+    level = 0.0
+    active = ends
+    with np.errstate(divide="ignore"):
+        while True:
+            step = (rem / count).min()
+            if step > _RATE_TOL:
+                level = level + step
+                rem -= step * count
+            saturated = rem <= _RATE_TOL * count
+            rem[saturated] = np.inf
+            sat_level[saturated] = level
+            hit = saturated[active]
+            n_active = active.shape[1]
+            active = active.compress(~(hit[0] | hit[1]), axis=1)
+            if active.shape[1] in (0, n_active):
+                # Done, or no port saturated: the bottleneck kept a
+                # rounding remainder above the tolerance (an ulp of a large
+                # capacity), and the active flows stop at the level.
+                break
+            count = np.bincount(active.ravel(), minlength=n_ports)
+    at_ends = sat_level[ends]
+    rates = np.minimum(at_ends[0], at_ends[1])
+    if active.shape[1]:
+        np.minimum(rates, level, out=rates)
     return rates
 
 

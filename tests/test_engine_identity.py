@@ -31,10 +31,12 @@ from repro.core.scheduler import CpSwitchScheduler
 from repro.faults import FaultPlan
 from repro.faults.reroute import BackupPlanner
 from repro.hybrid.solstice import SolsticeScheduler
+from repro.sim import engine as engine_module
 from repro.sim import simulate_cp, simulate_hybrid
 from repro.sim.engine import CompositeService, FluidEngine
 from repro.switch.params import SwitchParams, fast_ocs_params
 from repro.utils.rng import spawn_rngs
+from repro.workloads.combined import CombinedWorkload
 from repro.workloads.skewed import SkewedWorkload
 
 
@@ -112,6 +114,35 @@ def test_faulted_cp_run_with_fast_reroute_is_bit_identical():
     assert summary.dead_o2m_ports and summary.dead_m2o_ports
     assert result.reroute is not None and result.reroute.n_swaps > 0
     assert fingerprint(result) == FAULTED_DIGEST
+
+
+#: cp-Switch with Solstice on a dense ``CombinedWorkload.typical`` demand at
+#: radix 64 — the serve regime: composite reservations on the EPS links and
+#: waterfills of up to ~20 filling rounds (the Solstice pipelines above
+#: average under two).
+DENSE_TYPICAL_DIGEST = "366b7d33a9d1a0ec1c3061057a5c196b34fee93d3580b40799af543c4a5d8ee4"
+
+
+def test_dense_typical_cp_run_is_bit_identical():
+    params = fast_ocs_params(64)
+    (rng,) = spawn_rngs(3, 1)
+    demand = CombinedWorkload.typical(params).generate(64, rng).demand
+    schedule = CpSwitchScheduler(SolsticeScheduler()).schedule(demand, params)
+    levels = []
+    solve = engine_module.max_min_fair_rates
+
+    def recording(*args):
+        rates = solve(*args)
+        levels.append(np.unique(rates).size)
+        return rates
+
+    with mock.patch("repro.sim.engine.max_min_fair_rates", recording):
+        result = simulate_cp(demand, schedule, params)
+    # The scenario must exercise the regime it pins: each distinct rate is
+    # the level of a separate filling round.
+    assert result.served_composite > 0
+    assert max(levels) >= 15
+    assert fingerprint(result) == DENSE_TYPICAL_DIGEST
 
 
 # ---------------------------------------------------------------------- #
@@ -244,17 +275,23 @@ class TestWaterfillReuseIsBitIdentical:
 
     def test_drains_under_unchanged_eps_reuse_the_solve(self):
         # Circuits drain 0->1 and 1->0 at different times while the EPS
-        # flows (2->3, 3->2) and their capacities stay put: the second
-        # event's waterfill repeats the first's exactly.
+        # flows (2->3, 3->2) and their capacities stay put: a circuit-only
+        # drain leaves the EPS rates as they are, so the phase's three
+        # events cost one waterfill solve.
         demand = np.zeros((N, N))
         demand[0, 1], demand[1, 0] = 10.0, 20.0
         demand[2, 3], demand[3, 2] = 50.0, 50.0
         perm = np.zeros((N, N), dtype=np.int8)
         perm[0, 1] = perm[1, 0] = 1
         engine = FluidEngine(demand, PARAMS)
-        engine.run_phase(1.0, circuits=perm)
-        assert engine._waterfills == 3
-        assert engine._waterfills_reused == 2
+        with mock.patch(
+            "repro.sim.engine.max_min_fair_rates", wraps=engine_module.max_min_fair_rates
+        ) as solve:
+            engine.run_phase(1.0, circuits=perm)
+        assert len(engine.segments) == 3
+        assert solve.call_count == 1
+        assert engine._waterfills == 1
+        assert engine._waterfills_reused == 0
 
     def test_support_rebuild_invalidates_the_solve(self):
         # Phase 1 ends with EPS flows at support positions [1, 2] =

@@ -9,6 +9,7 @@ import pytest
 
 from repro.sim.engine import CompositeService, FluidEngine, TIME_TOL
 from repro.switch.params import SwitchParams, fast_ocs_params
+from repro.utils.validation import VOLUME_TOL
 
 
 def engine_for(demand, **kwargs) -> FluidEngine:
@@ -134,6 +135,29 @@ class TestCompositeCornerCases:
         # Served at up to 2 * min(Ce, Co) = 20 Mb/ms: finishes by 0.4 ms.
         assert engine.finish_times[0, 3] <= 0.4 + 1e-9
 
+    @pytest.mark.parametrize("regular_first", [True, False])
+    def test_split_entry_finishes_when_both_halves_drain(self, regular_first):
+        # Entry (0, 1) holds volume in both matrices, as repark_composite
+        # can leave it.  A circuit serves the regular half at Co = 100 and
+        # port 0's o2m path the composite half at Ce = 10.  Entry (2, 3)
+        # drains first (EPS, 0.05 ms), so both halves drain in later
+        # events of the phase; the entry finishes with the second half.
+        regular, composite, finish = (10.0, 5.0, 0.5) if regular_first else (60.0, 2.0, 0.6)
+        demand = np.zeros((4, 4))
+        demand[2, 3] = 0.5
+        demand[0, 1] = regular + composite
+        filtered = np.zeros((4, 4))
+        filtered[0, 1] = composite
+        engine = engine_for(demand)
+        engine.assign_composite(filtered)
+        circuits = np.zeros((4, 4), dtype=np.int8)
+        circuits[0, 1] = 1
+        engine.run_phase(1.0, circuits=circuits, composites=[CompositeService("o2m", 0)])
+        assert engine.finish_times[2, 3] == pytest.approx(0.05)
+        assert engine.finish_times[0, 1] == pytest.approx(finish)
+        assert len(engine.segments) == 4
+        engine.result(n_configs=1, makespan=1.0).check_conservation()
+
     def test_invalid_composite_kind_rejected(self):
         with pytest.raises(ValueError):
             CompositeService("sideways", 0)
@@ -144,6 +168,22 @@ class TestCompositeCornerCases:
 
 
 class TestPhaseSequencing:
+    def test_phase_zeroes_unserved_dust(self):
+        # assign_composite leaves a sub-tolerance sliver of (0, 1) on the
+        # regular matrix.  Nothing serves it (it is not an EPS flow and no
+        # composite path runs), yet the phase leaves it at exact zero.
+        demand = np.zeros((4, 4))
+        demand[0, 1], demand[2, 3] = 15.0, 5.0
+        filtered = np.zeros((4, 4))
+        filtered[0, 1] = 15.0 - 4e-10
+        engine = engine_for(demand)
+        engine.assign_composite(filtered)
+        assert 0.0 < engine.regular[0, 1] <= VOLUME_TOL
+        engine.run_phase(0.1)
+        assert engine.regular[0, 1] == 0.0
+        assert engine.composite[0, 1] == filtered[0, 1]
+        assert engine.served_eps == pytest.approx(1.0)
+
     def test_many_short_phases_accumulate_clock(self):
         demand = np.zeros((3, 3))
         demand[0, 1] = 100.0
