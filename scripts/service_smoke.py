@@ -9,10 +9,12 @@ Scenario (the acceptance criteria of the service-loop work):
    reports bit-identical to :meth:`EpochController.run` on the same
    arrival process;
 2. the asyncio driver serves several epochs with auxiliary stages sharded
-   across a **warm** :class:`~repro.runner.pool.WorkerPool`: at least one
-   epoch must land stages on >= 2 distinct worker pids, every shard pid
-   must belong to the pool's stable pid set (no fork-per-stage), every
-   stage must succeed, and the run must drain cleanly;
+   across a **warm** :class:`~repro.runner.pool.WorkerPool`: its reports
+   must be bit-identical to the same :meth:`EpochController.run`
+   reference, at least one epoch must land stages on >= 2 distinct worker
+   pids, every shard pid must belong to the pool's stable pid set (no
+   fork-per-stage), every stage must succeed, and the run must drain
+   cleanly;
 3. a deadline-bounded controller on a :class:`TickClock` (budget
    exhaustion = checkpoint count, deterministic on any runner) is driven
    into sustained overload: every epoch must miss its deadline and be
@@ -116,6 +118,12 @@ def main(argv=None) -> int:
         return service, asyncio.run(service.run())
 
     _service, report = run_sharded()
+    check(
+        report.reports == reference,
+        f"sharded asyncio driver bit-identical to EpochController.run over "
+        f"{report.n_epochs} epochs",
+        "sharded asyncio driver diverged from EpochController.run",
+    )
     check(
         report.drained and not report.stopped_early,
         f"asyncio driver drained cleanly after {report.n_epochs} epochs",
@@ -235,7 +243,8 @@ def main(argv=None) -> int:
         return 1
 
     print(
-        f"service smoke OK: sync driver bit-identical, {report.n_epochs} epochs "
+        f"service smoke OK: sync and sharded asyncio drivers bit-identical, "
+        f"{report.n_epochs} epochs "
         f"sharded across {len(report.worker_pids)} warm workers with clean drain, "
         f"overload shed {overload_report.shed_mb:.1f} Mb with balanced ledgers, "
         f"heartbeat liveness monotonic"

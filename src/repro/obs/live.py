@@ -202,10 +202,11 @@ class TelemetryServer:
 class LiveTelemetry:
     """The service's live telemetry plane: scrape + burn rates + recorder.
 
-    The service calls :meth:`on_epoch` once per epoch (loop thread),
-    :meth:`touch` from its heartbeat ticker (so /healthz freshness tracks
-    the same signal ``obs watch`` judges), and :meth:`set_draining` on
-    stop.  The scrape endpoints read through thread-safe snapshots.
+    The service calls :meth:`on_epoch` once per epoch (from the thread
+    running that epoch's step; calls never overlap), :meth:`touch` from
+    its heartbeat ticker (so /healthz freshness tracks the same signal
+    ``obs watch`` judges), and :meth:`set_draining` on stop.  The scrape
+    endpoints read through thread-safe snapshots.
     """
 
     def __init__(

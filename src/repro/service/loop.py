@@ -2,30 +2,30 @@
 
 :class:`~repro.analysis.controller.EpochController` is a library — you
 call :meth:`offer` and :meth:`run_epoch` yourself.  :class:`SchedulingService`
-wraps it into the long-running loop a deployment would actually operate
-(ROADMAP item 1):
+wraps it into the long-running loop a deployment would actually operate.
 
-* an **ingestion task** pulls ``(epoch, demand)`` batches from an async
+One service epoch is :meth:`SchedulingService.step`, the only code that
+runs one: it offers the batch, fans the auxiliary heavy stages
+(independent scheduler arms and fast-reroute backup planning, see
+:mod:`repro.service.stages`) out to a warm
+:class:`~repro.runner.pool.WorkerPool` on a helper thread, runs the
+controller's schedule/execute step — inline deadline budget, anytime
+fallback ladder, backpressure ledger and all — while they overlap, joins
+them, then publishes the epoch's metrics and feeds the heartbeat, the
+live telemetry plane and the flight recorder.  A worker death respawns
+the worker and retries the stage.
+
+Two drivers loop over it:
+
+* :meth:`SchedulingService.run_sync` — a plain for-loop with no asyncio
+  and no pool, bit-identical to :meth:`EpochController.run`;
+* :meth:`SchedulingService.run` — adds only what is asynchronous: an
+  **ingestion task** pulls ``(epoch, demand)`` batches from an async
   arrival stream (:func:`repro.workloads.arrivals.arrival_stream`) into a
   bounded queue — when epochs fall behind, the queue fills and ingestion
-  blocks: backpressure propagates to the stream instead of growing an
-  unbounded buffer;
-* an **epoch task** fires on a monotonic epoch clock, offers the next
-  batch, and runs the controller's schedule/execute step — inline
-  deadline budget, anytime fallback ladder, backpressure ledger and all;
-* the per-epoch **auxiliary heavy stages** (independent scheduler arms,
-  fast-reroute backup planning, robustness replays — see
-  :mod:`repro.service.stages`) are sharded across a warm
-  :class:`~repro.runner.pool.WorkerPool` and overlap with the inline
-  epoch execution; a worker death respawns the worker and retries the
-  stage.
-
-Two drivers share one code path for the controller calls:
-
-* :meth:`SchedulingService.run` — the asyncio loop above;
-* :meth:`SchedulingService.run_sync` — a plain synchronous driver that
-  issues the *identical* ``offer``/``run_epoch`` sequence and is
-  therefore bit-identical to :meth:`EpochController.run`.
+  blocks, so backpressure propagates to the stream instead of growing an
+  unbounded buffer — a monotonic epoch clock, drain/stop and the pool's
+  lifetime.  Each step runs in an executor thread.
 
 Shutdown is drain-by-default: :meth:`request_stop` (or the CLI's SIGTERM
 handler) stops ingestion at the next batch boundary, the epoch task
@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import asdict, dataclass, field
+from concurrent import futures
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -45,7 +47,7 @@ import numpy as np
 
 from repro import obs
 from repro.runner.heartbeat import HeartbeatTicker, heartbeat_dir
-from repro.runner.pool import StageResult, StageTask, WorkerPool, absorb_observations
+from repro.runner.pool import StageTask, WorkerPool, absorb_observations
 from repro.service.stages import DEFAULT_ARMS
 from repro.workloads.arrivals import arrival_stream
 
@@ -54,6 +56,10 @@ if TYPE_CHECKING:  # import cycle: analysis.controller imports service.deadline
 
 #: Queue sentinel: the ingestion task is done (stream ended or stop requested).
 _STREAM_END = None
+
+#: Crash-retry budget of the warm pool: a stage whose worker dies is
+#: retried once on the respawned worker before it reports ``crashed``.
+STAGE_RETRIES = 1
 
 
 @dataclass(frozen=True)
@@ -80,15 +86,12 @@ class ServiceConfig:
         :func:`repro.hybrid.base.make_scheduler`); empty disables.
     shard_backups:
         Also shard a fast-reroute backup-planning stage each epoch.
-    stage_retries / stage_timeout_s:
-        Pool crash-retry budget and per-stage wall-clock budget.
+    stage_timeout_s:
+        Per-stage wall-clock budget of the pool (``None``: unbounded).
     drain:
         On stop: finish every batch already queued (``True``, default) or
         abandon the queue immediately (``False`` — abandoned batches are
         counted, never silently lost).
-    heartbeat:
-        Keep a ``service`` heartbeat fresh next to the controller's
-        journal (monotonic-tick contract; a no-op without a journal path).
     telemetry_port:
         Bind the live telemetry HTTP server (``/metrics``, ``/healthz``,
         ``/status``) on this port; ``0`` picks an ephemeral port (read
@@ -114,10 +117,8 @@ class ServiceConfig:
     epoch_interval_s: float = 0.0
     arms: "tuple[str, ...]" = DEFAULT_ARMS
     shard_backups: bool = True
-    stage_retries: int = 1
     stage_timeout_s: "float | None" = None
     drain: bool = True
-    heartbeat: bool = True
     telemetry_port: "int | None" = None
     telemetry_host: str = "127.0.0.1"
     incidents_dir: "str | Path | None" = None
@@ -136,8 +137,6 @@ class ServiceConfig:
             raise ValueError(
                 f"epoch_interval_s must be >= 0, got {self.epoch_interval_s}"
             )
-        if self.stage_retries < 0:
-            raise ValueError(f"stage_retries must be >= 0, got {self.stage_retries}")
         if self.telemetry_port is not None and self.telemetry_port < 0:
             raise ValueError(
                 f"telemetry_port must be >= 0 (or None), got {self.telemetry_port}"
@@ -150,7 +149,13 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class EpochOutcome:
-    """One service epoch: the controller's report plus the sharded stages."""
+    """One service epoch: the controller's report plus the sharded stages.
+
+    ``slo_reasons`` names the service objectives the epoch missed
+    (``schedule_deadline``, ``epoch_overrun``); ``admitted_mb`` is what
+    ``offer`` admitted; ``incident_bundles`` are the flight-recorder
+    bundles the epoch dumped.
+    """
 
     report: EpochReport
     arms: "tuple[dict, ...]" = ()
@@ -158,7 +163,13 @@ class EpochOutcome:
     stage_retries: int = 0
     shard_pids: "tuple[int, ...]" = ()
     epoch_latency_s: float = 0.0
-    slo_violation: bool = False
+    slo_reasons: "tuple[str, ...]" = ()
+    admitted_mb: float = 0.0
+    incident_bundles: "tuple[str, ...]" = ()
+
+    @property
+    def slo_violation(self) -> bool:
+        return bool(self.slo_reasons)
 
 
 @dataclass
@@ -207,7 +218,6 @@ class SchedulingService:
         self.arrivals = arrivals
         self.config = config if config is not None else ServiceConfig()
         self._stop_requested = False
-        self._stop_event: "asyncio.Event | None" = None
         #: Live telemetry plane; ``None`` until a run starts with
         #: ``telemetry_port`` / ``incidents_dir`` configured.  Smokes read
         #: ``service.telemetry.port`` to find the ephemeral scrape port.
@@ -215,23 +225,24 @@ class SchedulingService:
         # Advisory heartbeat extras, replaced wholesale each epoch so the
         # ticker thread always reads a complete dict (no partial updates).
         self._hb_status: dict = {"service_epoch": None, "epochs_done": 0}
+        # Len-watermark into the tracer buffer: the tail past the mark is
+        # what the next epoch adds.
+        self._trace_mark = 0
 
     # ------------------------------------------------------------------ #
 
     def request_stop(self) -> None:
-        """Ask the loop to stop at the next batch boundary (thread-safe-ish:
-        call from the loop thread or a signal handler on the loop)."""
+        """Ask the loop to stop at the next batch boundary (from any thread
+        or a signal handler: the flag is a plain attribute store)."""
         self._stop_requested = True
         if self.telemetry is not None:
             self.telemetry.set_draining(True)
-        if self._stop_event is not None:
-            self._stop_event.set()
 
     # ------------------------------------------------------------------ #
-    # live telemetry plane
+    # run-scoped state shared by both drivers
     # ------------------------------------------------------------------ #
 
-    def _build_telemetry(self, pool: "WorkerPool | None" = None):
+    def _build_telemetry(self, pool: "WorkerPool | None"):
         """Construct the :class:`~repro.obs.live.LiveTelemetry` facade, or
         ``None`` when the config leaves the whole plane off (the default —
         nothing below this line runs on the untelemetered path)."""
@@ -258,6 +269,36 @@ class SchedulingService:
             pool_status_fn=pool.liveness if pool is not None else None,
         )
 
+    @contextmanager
+    def _serving(self, pool: "WorkerPool | None"):
+        """Telemetry plane, trace watermark and heartbeat ticker for one
+        run; torn down when the run ends, however it ends."""
+        self.telemetry = self._build_telemetry(pool)
+        if self.telemetry is not None:
+            self.telemetry.start()
+        tracer = obs.get_tracer()
+        self._trace_mark = (
+            len(tracer.records())
+            if self.telemetry is not None and tracer.enabled
+            else 0
+        )
+        ticker = None
+        journal = self.controller.journal
+        if journal is not None and journal.path is not None:
+            ticker = HeartbeatTicker(
+                heartbeat_dir(journal.path),
+                "service",
+                experiment="service",
+                status_fn=self._heartbeat_status,
+            ).start()
+        try:
+            yield
+        finally:
+            if ticker is not None:
+                ticker.stop()
+            if self.telemetry is not None:
+                self.telemetry.stop()
+
     def _heartbeat_status(self) -> dict:
         """Advisory extras for the service heartbeat (ticker thread)."""
         telemetry = self.telemetry
@@ -265,59 +306,26 @@ class SchedulingService:
             telemetry.touch()  # /healthz freshness rides the same beat
         return dict(self._hb_status)
 
-    def _slo_reasons(self, report: EpochReport, latency_s: float) -> "list[str]":
-        reasons: "list[str]" = []
-        if report.deadline_hit:
-            reasons.append("schedule_deadline")
-        if (
-            self.config.epoch_interval_s > 0
-            and latency_s > self.config.epoch_interval_s
-        ):
-            reasons.append("epoch_overrun")
-        return reasons
-
-    def _note_epoch(
-        self,
-        epoch: int,
-        outcome: EpochOutcome,
-        *,
-        records: "list[dict]",
-        deaths: "list[dict]",
-    ) -> "list[str]":
-        """Update heartbeat extras + feed the telemetry plane one epoch.
-
-        Returns the incident-bundle paths the flight recorder wrote (as
-        strings, ready for :attr:`ServiceReport.incident_bundles`).
-        """
-        report = outcome.report
-        status = {
-            "service_epoch": epoch,
-            "epochs_done": int(self._hb_status.get("epochs_done", 0)) + 1,
-            "backlog_mb": report.backlog_after,
-            "fallback_level": report.fallback_level,
-        }
-        telemetry = self.telemetry
-        if telemetry is None:
-            self._hb_status = status
-            return []
-        paths = telemetry.on_epoch(
-            epoch=epoch,
-            report=asdict(report),
-            outcome={
-                "slo_violation": outcome.slo_violation,
-                "slo_reasons": self._slo_reasons(report, outcome.epoch_latency_s),
-                "epoch_latency_s": outcome.epoch_latency_s,
-                "stage_failures": outcome.stage_failures,
-                "stage_retries": outcome.stage_retries,
-                "shard_pids": list(outcome.shard_pids),
-            },
-            records=records,
-            worker_deaths=deaths,
+    def _finalize(self, report: ServiceReport) -> ServiceReport:
+        outcomes = report.outcomes
+        n_epochs = self.config.n_epochs
+        report.stopped_early = self._stop_requested and (
+            n_epochs is None or len(outcomes) < n_epochs
         )
-        status["slo_burn_rate"] = telemetry.burn.rates()
-        self._hb_status = status
-        return [str(path) for path in paths]
+        report.slo_violations = sum(1 for o in outcomes if o.slo_violation)
+        report.stage_retries = sum(o.stage_retries for o in outcomes)
+        report.admitted_mb = sum((o.admitted_mb for o in outcomes), 0.0)
+        report.incident_bundles = [p for o in outcomes for p in o.incident_bundles]
+        report.shed_mb = self.controller.shed_volume_total
+        report.parked_mb = self.controller.parked_volume
+        report.backlog_mb = self.controller.voqs.backlog
+        # A service run must never lose a byte: audit the controller's
+        # offered = admitted + shed + parked ledger before reporting.
+        self.controller.check_conservation()
+        return report
 
+    # ------------------------------------------------------------------ #
+    # one epoch
     # ------------------------------------------------------------------ #
 
     def _stage_tasks(self, demand: np.ndarray, epoch: int) -> "list[StageTask]":
@@ -355,55 +363,48 @@ class SchedulingService:
             )
         return tasks
 
-    def _publish_epoch(self, outcome: EpochOutcome) -> None:
-        if not obs.active():
-            return
-        metrics = obs.get_metrics()
-        if not metrics.enabled:
-            return
-        report = outcome.report
-        metrics.counter("service_epochs_total", "service epochs executed").inc()
-        metrics.histogram(
-            "service_epoch_latency",
-            "wall-clock seconds per service epoch (offer + schedule + execute)",
-        ).observe(outcome.epoch_latency_s)
-        metrics.gauge(
-            "service_backlog_mb", "VOQ backlog (Mb) after the latest service epoch"
-        ).set(report.backlog_after)
-        if report.shed_volume:
-            metrics.counter(
-                "service_shed_mb_total",
-                "arrival volume (Mb) refused by backpressure while serving",
-            ).inc(report.shed_volume)
-        if outcome.stage_retries:
-            metrics.counter(
-                "service_stage_retries_total",
-                "sharded stages retried after a worker death",
-            ).inc(outcome.stage_retries)
-        violations = metrics.counter(
-            "service_slo_violations_total",
-            "epochs that missed a service objective (by reason)",
-        )
-        if report.deadline_hit:
-            violations.labels(reason="schedule_deadline").inc()
-        if (
-            self.config.epoch_interval_s > 0
-            and outcome.epoch_latency_s > self.config.epoch_interval_s
-        ):
-            violations.labels(reason="epoch_overrun").inc()
-
-    def _outcome(
-        self,
-        report: EpochReport,
-        stage_results: "list[StageResult]",
-        retries: int,
-        latency_s: float,
+    def step(
+        self, epoch: int, demand: np.ndarray, pool: "WorkerPool | None" = None
     ) -> EpochOutcome:
-        slo = report.deadline_hit or (
-            self.config.epoch_interval_s > 0
-            and latency_s > self.config.epoch_interval_s
-        )
-        return EpochOutcome(
+        """Run one service epoch: offer → schedule/execute → publish → record.
+
+        ``demand`` is offered as is.  With a ``pool``, the epoch's stages
+        run on it from a helper thread while ``run_epoch`` executes here,
+        and are joined even when ``run_epoch`` raises.  Steps must not
+        overlap: the async driver awaits each one (in an executor thread)
+        before the next, so this thread owns the tracer, the flight
+        recorder and the trace watermark for the step's duration; the
+        heartbeat and scrape threads only read, through locks or a
+        wholesale-replaced dict.
+        """
+        controller = self.controller
+        start = time.perf_counter()
+        admitted = controller.offer(demand)
+        tasks: "list[StageTask]" = []
+        if pool is not None:
+            tasks = self._stage_tasks(controller.voqs.occupancy.copy(), epoch)
+            retries_before, deaths_before = pool.tasks_retried, len(pool.death_log)
+        # Leaving the block joins the helper thread, also when run_epoch
+        # raises: pool.map is never left in flight for the run to close.
+        with futures.ThreadPoolExecutor(max_workers=1) as fanout:
+            stages = fanout.submit(pool.map, tasks) if tasks else None
+            report, _result = controller.run_epoch(epoch)
+        stage_results = stages.result() if stages is not None else []
+        # Worker span/metric blobs fold in on this thread, which owns the
+        # tracer for the step — the pool never touches it from its threads.
+        absorb_observations(stage_results)
+        latency_s = time.perf_counter() - start
+        retries, deaths = 0, []
+        if pool is not None:
+            # Only map() appends to the death log, and it has returned.
+            retries = pool.tasks_retried - retries_before
+            deaths = pool.death_log[deaths_before:]
+        slo_reasons = []
+        if report.deadline_hit:
+            slo_reasons.append("schedule_deadline")
+        if 0 < self.config.epoch_interval_s < latency_s:
+            slo_reasons.append("epoch_overrun")
+        outcome = EpochOutcome(
             report=report,
             arms=tuple(r.payload for r in stage_results if r.ok),
             stage_failures=sum(1 for r in stage_results if not r.ok),
@@ -412,175 +413,142 @@ class SchedulingService:
                 sorted({r.pid for r in stage_results if r.pid is not None})
             ),
             epoch_latency_s=latency_s,
-            slo_violation=slo,
+            slo_reasons=tuple(slo_reasons),
+            admitted_mb=admitted,
         )
+        return self._publish_epoch(epoch, outcome, deaths)
 
-    def _finalize(self, report: ServiceReport) -> ServiceReport:
-        report.slo_violations = sum(1 for o in report.outcomes if o.slo_violation)
-        report.stage_retries = sum(o.stage_retries for o in report.outcomes)
-        report.shed_mb = self.controller.shed_volume_total
-        report.parked_mb = self.controller.parked_volume
-        report.backlog_mb = self.controller.voqs.backlog
-        # A service run must never lose a byte: audit the controller's
-        # offered = admitted + shed + parked ledger before reporting.
-        self.controller.check_conservation()
-        return report
+    def _publish_epoch(
+        self, epoch: int, outcome: EpochOutcome, deaths: "list[dict]"
+    ) -> EpochOutcome:
+        """Publish the epoch's metrics, then feed the heartbeat extras, the
+        telemetry plane and the flight recorder (whose bundles snapshot
+        those metrics); returns ``outcome`` with its incident bundles."""
+        report = outcome.report
+        metrics = obs.get_metrics()
+        if metrics.enabled:
+            metrics.counter("service_epochs_total", "service epochs executed").inc()
+            metrics.histogram(
+                "service_epoch_latency",
+                "wall-clock seconds per service epoch (offer + schedule + execute)",
+            ).observe(outcome.epoch_latency_s)
+            metrics.gauge(
+                "service_backlog_mb", "VOQ backlog (Mb) after the latest service epoch"
+            ).set(report.backlog_after)
+            if report.shed_volume:
+                metrics.counter(
+                    "service_shed_mb_total",
+                    "arrival volume (Mb) refused by backpressure while serving",
+                ).inc(report.shed_volume)
+            if outcome.stage_retries:
+                metrics.counter(
+                    "service_stage_retries_total",
+                    "sharded stages retried after a worker death",
+                ).inc(outcome.stage_retries)
+            violations = metrics.counter(
+                "service_slo_violations_total",
+                "epochs that missed a service objective (by reason)",
+            )
+            for reason in outcome.slo_reasons:
+                violations.labels(reason=reason).inc()
+        status = {
+            "service_epoch": epoch,
+            "epochs_done": int(self._hb_status.get("epochs_done", 0)) + 1,
+            "backlog_mb": report.backlog_after,
+            "fallback_level": report.fallback_level,
+        }
+        telemetry = self.telemetry
+        if telemetry is None:
+            self._hb_status = status
+            return outcome
+        records: "list[dict]" = []
+        tracer = obs.get_tracer()
+        if tracer.enabled:
+            # Non-destructive len-watermark slice: ``records()`` is the
+            # whole buffer; the tail past the mark is everything closed
+            # this epoch, absorbed worker blobs included.
+            buffer = tracer.records()
+            records = list(buffer[self._trace_mark :])
+            self._trace_mark = len(buffer)
+        paths = telemetry.on_epoch(
+            epoch=epoch,
+            report=asdict(report),
+            outcome={
+                "slo_violation": outcome.slo_violation,
+                "slo_reasons": list(outcome.slo_reasons),
+                "epoch_latency_s": outcome.epoch_latency_s,
+                "stage_failures": outcome.stage_failures,
+                "stage_retries": outcome.stage_retries,
+                "shard_pids": list(outcome.shard_pids),
+            },
+            records=records,
+            worker_deaths=deaths,
+        )
+        status["slo_burn_rate"] = telemetry.burn.rates()
+        self._hb_status = status
+        return replace(outcome, incident_bundles=tuple(str(p) for p in paths))
 
+    # ------------------------------------------------------------------ #
+    # drivers
     # ------------------------------------------------------------------ #
 
     def run_sync(self) -> ServiceReport:
-        """Synchronous driver: the exact ``offer``/``run_epoch`` sequence of
-        :meth:`EpochController.run` — bit-identical reports, no asyncio,
-        no worker pool."""
-        if self.config.n_epochs is None:
+        """Synchronous driver: a for-loop over :meth:`step` — no asyncio,
+        no worker pool, bit-identical reports to :meth:`EpochController.run`."""
+        n_epochs = self.config.n_epochs
+        if n_epochs is None:
             raise ValueError("run_sync() needs a finite n_epochs")
         report = ServiceReport()
-        self.telemetry = self._build_telemetry()
-        if self.telemetry is not None:
-            self.telemetry.start()
-        tracer = obs.get_tracer()
-        trace_watermark = (
-            len(tracer.records())
-            if self.telemetry is not None and tracer.enabled
-            else 0
-        )
-        try:
-            for epoch in range(self.config.n_epochs):
+        with self._serving(None):
+            for epoch in range(n_epochs):
                 if self._stop_requested:
-                    report.stopped_early = True
                     break
-                report.admitted_mb += self.controller.offer(self.arrivals(epoch))
-                start = time.perf_counter()
-                epoch_report, _result = self.controller.run_epoch(epoch)
-                outcome = self._outcome(
-                    epoch_report, [], 0, time.perf_counter() - start
-                )
-                report.outcomes.append(outcome)
-                self._publish_epoch(outcome)
-                if self.telemetry is not None and tracer.enabled:
-                    # Non-destructive len-watermark slice: ``records()`` is
-                    # the whole buffer, the tail past the mark is this epoch.
-                    records = tracer.records()
-                    epoch_records = list(records[trace_watermark:])
-                    trace_watermark = len(records)
-                else:
-                    epoch_records = []
-                report.incident_bundles.extend(
-                    self._note_epoch(
-                        epoch, outcome, records=epoch_records, deaths=[]
-                    )
-                )
-        finally:
-            if self.telemetry is not None:
-                self.telemetry.stop()
+                report.outcomes.append(self.step(epoch, self.arrivals(epoch)))
         return self._finalize(report)
 
     async def run(self) -> ServiceReport:
-        """Asyncio driver: ingestion + epoch tasks + sharded stages."""
+        """Asyncio driver: ingestion, the epoch clock, drain/stop and the
+        pool's lifetime around :meth:`step`, which runs in an executor."""
         config = self.config
         loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        if self._stop_requested:
-            self._stop_event.set()
         queue: "asyncio.Queue" = asyncio.Queue(maxsize=config.queue_depth)
         pool = (
             WorkerPool(
                 config.n_workers,
-                retries=config.stage_retries,
+                retries=STAGE_RETRIES,
                 timeout_s=config.stage_timeout_s,
             )
             if config.n_workers > 0 and (config.arms or config.shard_backups)
             else None
         )
-        self.telemetry = self._build_telemetry(pool)
-        if self.telemetry is not None:
-            self.telemetry.start()
-        tracer = obs.get_tracer()
-        trace_watermark = (
-            len(tracer.records())
-            if self.telemetry is not None and tracer.enabled
-            else 0
-        )
-        death_watermark = len(pool.death_log) if pool is not None else 0
-        ticker = None
-        journal = self.controller.journal
-        if config.heartbeat and journal is not None and journal.path is not None:
-            ticker = HeartbeatTicker(
-                heartbeat_dir(journal.path),
-                "service",
-                experiment="service",
-                status_fn=self._heartbeat_status,
-            ).start()
-
         report = ServiceReport()
         ingest = asyncio.ensure_future(self._ingest(queue))
-        start_mono = config.mono_clock()
         try:
-            epochs_done = 0
-            while True:
-                if self._stop_event.is_set() and not config.drain:
-                    report.drained = False
-                    break
-                batch = await queue.get()
-                if batch is _STREAM_END:
-                    break
-                epoch, demand = batch
-                if config.epoch_interval_s > 0:
-                    # Fire on the monotonic grid: epoch k starts no earlier
-                    # than k intervals after service start (no wall clock —
-                    # an NTP step must never stretch or squeeze an epoch).
-                    delay = (
-                        start_mono
-                        + epochs_done * config.epoch_interval_s
-                        - config.mono_clock()
+            with self._serving(pool):
+                start_mono = config.mono_clock()
+                while True:
+                    if self._stop_requested and not config.drain:
+                        report.drained = False
+                        break
+                    batch = await queue.get()
+                    if batch is _STREAM_END:
+                        break
+                    epoch, demand = batch
+                    if config.epoch_interval_s > 0:
+                        # Fire on the monotonic grid: epoch k starts no
+                        # earlier than k intervals after service start (no
+                        # wall clock — an NTP step must never stretch or
+                        # squeeze an epoch).
+                        delay = (
+                            start_mono
+                            + report.n_epochs * config.epoch_interval_s
+                            - config.mono_clock()
+                        )
+                        if delay > 0:
+                            await config.async_sleep(delay)
+                    report.outcomes.append(
+                        await loop.run_in_executor(None, self.step, epoch, demand, pool)
                     )
-                    if delay > 0:
-                        await config.async_sleep(delay)
-                start = time.perf_counter()
-                report.admitted_mb += self.controller.offer(demand)
-                snapshot = self.controller.voqs.occupancy.copy()
-                tasks = self._stage_tasks(snapshot, epoch) if pool is not None else []
-                retries_before = pool.tasks_retried if pool is not None else 0
-                stage_future = (
-                    loop.run_in_executor(None, pool.map, tasks) if tasks else None
-                )
-                epoch_report, _result = await loop.run_in_executor(
-                    None, self.controller.run_epoch, epoch
-                )
-                stage_results = await stage_future if stage_future is not None else []
-                # Worker span/metric blobs fold in here, on the loop thread
-                # — the pool never touches the tracer from its own threads.
-                absorb_observations(stage_results)
-                outcome = self._outcome(
-                    epoch_report,
-                    stage_results,
-                    (pool.tasks_retried - retries_before) if pool is not None else 0,
-                    time.perf_counter() - start,
-                )
-                report.outcomes.append(outcome)
-                self._publish_epoch(outcome)
-                if self.telemetry is not None and tracer.enabled:
-                    # Non-destructive len-watermark slice: the tail past the
-                    # mark is everything closed this epoch, absorbed worker
-                    # blobs included (absorb_observations ran just above).
-                    records = tracer.records()
-                    epoch_records = list(records[trace_watermark:])
-                    trace_watermark = len(records)
-                else:
-                    epoch_records = []
-                deaths: "list[dict]" = []
-                if pool is not None:
-                    # Len-slice off the tail: appends are GIL-atomic and
-                    # only ever grow the list.
-                    log = pool.death_log
-                    deaths = list(log[death_watermark : len(log)])
-                    death_watermark += len(deaths)
-                report.incident_bundles.extend(
-                    self._note_epoch(
-                        epoch, outcome, records=epoch_records, deaths=deaths
-                    )
-                )
-                epochs_done += 1
         finally:
             if not ingest.done():
                 ingest.cancel()
@@ -595,20 +563,13 @@ class SchedulingService:
                 report.worker_pids = tuple(sorted(pool.pids))
                 report.worker_deaths = pool.worker_deaths
                 pool.close()
-            if ticker is not None:
-                ticker.stop()
-            if self.telemetry is not None:
-                self.telemetry.stop()
-            self._stop_event = None
-        report.stopped_early = self._stop_requested
         return self._finalize(report)
 
     async def _ingest(self, queue: "asyncio.Queue") -> None:
         """Pull batches from the async arrival stream into the bounded queue."""
-        assert self._stop_event is not None
         stream = arrival_stream(self.arrivals, self.config.n_epochs)
         async for epoch, demand in stream:
-            if self._stop_event.is_set():
+            if self._stop_requested:
                 break
             # The draw itself is sync and cheap; backpressure comes from
             # the bounded put below, which suspends ingestion while the

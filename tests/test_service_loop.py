@@ -16,6 +16,8 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from repro.hybrid.base import make_scheduler
 from repro.matching import kernels
 from repro.runner.heartbeat import heartbeat_dir, read_heartbeats
 from repro.runner.journal import RunJournal
-from repro.runner.pool import StageTask
+from repro.runner.pool import StageTask, WorkerPool
 from repro.service import SchedulingService, ServiceConfig, TickClock
 from repro.service.loop import ServiceReport
 from repro.switch.params import fast_ocs_params
@@ -111,7 +113,6 @@ class TestConfigValidation:
             {"n_workers": -1},
             {"queue_depth": 0},
             {"epoch_interval_s": -0.1},
-            {"stage_retries": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -130,6 +131,17 @@ class TestSyncDriver:
         assert report.reports == reference
         assert report.n_epochs == 4
         assert not report.stopped_early
+
+    def test_heartbeat_written_next_to_journal(self, tmp_path):
+        journal = RunJournal(tmp_path / "service.jsonl")
+        service = SchedulingService(
+            make_controller(journal=journal),
+            make_arrivals(),
+            ServiceConfig(n_epochs=2, n_workers=0),
+        )
+        service.run_sync()
+        beat = read_heartbeats(heartbeat_dir(journal.path))["service"]
+        assert isinstance(beat["last_progress_mono"], float)
 
     def test_requires_finite_epochs(self):
         service = SchedulingService(
@@ -262,6 +274,50 @@ class TestAsyncDriver:
         assert all(o.slo_violation for o in report.outcomes)
 
 
+def drive(service: SchedulingService, driver: str) -> ServiceReport:
+    return service.run_sync() if driver == "sync" else asyncio.run(service.run())
+
+
+@pytest.mark.parametrize("driver", ["sync", "async"])
+class TestDriversAgree:
+    """Both drivers loop over the same ``step``: the fields they report
+    mean the same thing."""
+
+    def test_stop_after_last_epoch_is_not_early(self, driver, monkeypatch):
+        holder: "list[SchedulingService]" = []
+        inner_run_epoch = EpochController.run_epoch
+
+        def stopping_run_epoch(self, epoch=0):
+            result = inner_run_epoch(self, epoch)
+            if epoch == 2:
+                holder[0].request_stop()
+            return result
+
+        monkeypatch.setattr(EpochController, "run_epoch", stopping_run_epoch)
+        service = SchedulingService(
+            make_controller(), make_arrivals(), ServiceConfig(n_epochs=3, n_workers=0)
+        )
+        holder.append(service)
+        report = drive(service, driver)
+        assert report.n_epochs == 3
+        assert not report.stopped_early
+
+    def test_epoch_latency_includes_offer(self, driver, monkeypatch):
+        inner_offer = EpochController.offer
+
+        def slow_offer(self, arrivals):
+            time.sleep(0.05)
+            return inner_offer(self, arrivals)
+
+        monkeypatch.setattr(EpochController, "offer", slow_offer)
+        service = SchedulingService(
+            make_controller(), make_arrivals(), ServiceConfig(n_epochs=2, n_workers=0)
+        )
+        report = drive(service, driver)
+        assert report.n_epochs == 2
+        assert all(o.epoch_latency_s >= 0.05 for o in report.outcomes)
+
+
 class TestSoak:
     def test_sustained_overload_sheds_with_balanced_ledger(self):
         # Every epoch misses its (tick-clock) scheduling deadline, arming
@@ -379,6 +435,45 @@ class TestSoak:
             assert outcome.stage_failures == 0  # the retry succeeded
             (payload,) = outcome.arms
             assert payload["recovered"] is True
+
+    def test_run_epoch_error_joins_fanout_and_reaps_workers(self, monkeypatch):
+        events: "list[str]" = []
+        processes = []
+        inner_map, inner_close = WorkerPool.map, WorkerPool.close
+
+        def slow_map(self, tasks):
+            processes.extend(worker.process for worker in self._workers)
+            events.append("map-start")
+            time.sleep(0.2)  # still in flight when run_epoch raises
+            try:
+                return inner_map(self, tasks)
+            finally:
+                events.append("map-end")
+
+        def close(self):
+            events.append("close")
+            inner_close(self)
+
+        def failing_run_epoch(self, epoch=0):
+            raise RuntimeError("run_epoch failed")
+
+        monkeypatch.setattr(WorkerPool, "map", slow_map)
+        monkeypatch.setattr(WorkerPool, "close", close)
+        monkeypatch.setattr(EpochController, "run_epoch", failing_run_epoch)
+        service = SchedulingService(
+            make_controller(),
+            make_arrivals(),
+            ServiceConfig(n_epochs=2, n_workers=2),
+        )
+        with pytest.raises(RuntimeError, match="run_epoch failed"):
+            asyncio.run(service.run())
+        # The fan-out was joined before the pool closed, not abandoned.
+        assert events == ["map-start", "map-end", "close"]
+        assert len(processes) == 2
+        live = {child.pid for child in multiprocessing.active_children()}
+        for process in processes:
+            assert not process.is_alive()
+            assert process.pid not in live
 
 
 class TestLiveTelemetry:
