@@ -12,7 +12,9 @@ One greedy step here:
 1. build the candidate duration grid (see
    :mod:`repro.hybrid.eclipse.durations`);
 2. for each α, solve a maximum-weight matching with weights
-   ``min(residual_ij, α · Co)``;
+   ``min(residual_ij, α · Co)`` (the kernel backend solves only the α
+   whose value bound could still win, with the same pick; see
+   :meth:`EclipseScheduler._best_step_kernel`);
 3. keep the (α, M) with the best ``value / (α + δ)``;
 4. commit it: subtract the served volume, advance the window clock by
    ``α + δ``.
@@ -46,7 +48,7 @@ from repro.hybrid.schedule import Schedule, ScheduleEntry
 from repro.matching import kernels
 from repro.matching.max_weight import assignment_to_permutation, max_weight_matching
 from repro.switch.params import SwitchParams
-from repro.utils.validation import VOLUME_TOL, check_demand_matrix
+from repro.utils.validation import VOLUME_TOL, check_demand_matrix, check_positive
 
 #: Window (ms) paired with fast OCS in the paper's evaluation (§3.1).
 DEFAULT_FAST_WINDOW: float = 1.0
@@ -76,6 +78,10 @@ class EclipseScheduler:
     last_diagnostics:
         Watchdog records from the most recent :meth:`schedule` call (empty
         when the loop converged normally).
+    last_candidates, last_lsap_solves:
+        Candidate durations considered and LSAP solves run by the most
+        recent :meth:`schedule` call.  The oracle backend solves every
+        candidate; the kernel backend solves only those that can matter.
     """
 
     window: "float | None" = None
@@ -85,6 +91,8 @@ class EclipseScheduler:
     last_diagnostics: "list[SchedulerDiagnostics]" = field(
         default_factory=list, repr=False, compare=False
     )
+    last_candidates: int = field(default=0, repr=False, compare=False)
+    last_lsap_solves: int = field(default=0, repr=False, compare=False)
     #: Optional :class:`~repro.service.deadline.DeadlineBudget` polled at
     #: every greedy step (duck-typed to avoid an import cycle).  A budget
     #: that never exhausts changes nothing — checkpoints only read the
@@ -94,9 +102,7 @@ class EclipseScheduler:
     def resolved_window(self, params: SwitchParams) -> float:
         """The window actually used for ``params`` (resolving the default)."""
         if self.window is not None:
-            if self.window <= 0:
-                raise ValueError(f"window must be positive, got {self.window}")
-            return float(self.window)
+            return check_positive("window", self.window)
         if params.reconfig_delay <= _FAST_DELTA_CUTOFF:
             return DEFAULT_FAST_WINDOW
         return DEFAULT_SLOW_WINDOW
@@ -108,9 +114,13 @@ class EclipseScheduler:
         ocs_rate = params.ocs_rate
         window = self.resolved_window(params)
 
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+
         entries: list[ScheduleEntry] = []
         clock = 0.0
         self.last_diagnostics = []
+        self.last_candidates = self.last_lsap_solves = 0
         n = residual.shape[0]
         step_cap = self.max_steps if self.max_steps is not None else 8 * n + 256
 
@@ -172,7 +182,11 @@ class EclipseScheduler:
         if obs.active():
             if span is not None:
                 obs.get_tracer().end(
-                    span, steps=len(entries), window_used_ms=clock
+                    span,
+                    steps=len(entries),
+                    window_used_ms=clock,
+                    candidates=self.last_candidates,
+                    lsap_solves=self.last_lsap_solves,
                 )
             tracer = obs.get_tracer()
             if tracer.enabled:
@@ -195,6 +209,10 @@ class EclipseScheduler:
                 metrics.counter(
                     "eclipse_schedules_total", "EclipseScheduler.schedule() calls"
                 ).inc()
+                metrics.counter(
+                    "eclipse_lsap_solves_total",
+                    "LSAP solves over the greedy's candidate durations",
+                ).inc(self.last_lsap_solves)
 
         return Schedule(entries=tuple(entries), reconfig_delay=delta)
 
@@ -233,8 +251,10 @@ class EclipseScheduler:
         durations = candidate_durations(
             residual, ocs_rate, available, grid_size=self.grid_size
         )
+        self.last_candidates += durations.size
         if kernels.kernels_active():
             return self._best_step_kernel(residual, ocs_rate, delta, durations)
+        self.last_lsap_solves += durations.size
         best_rate = 0.0
         best: "tuple[float, np.ndarray, np.ndarray] | None" = None
         for alpha in durations.tolist():
@@ -264,64 +284,116 @@ class EclipseScheduler:
     ) -> "tuple[float, np.ndarray, np.ndarray] | None":
         """Kernel-backend :meth:`_best_step` — bit-identical decisions.
 
-        Three accelerations over the oracle loop above, none changing any
-        number it publishes:
+        The oracle solves one LSAP per candidate α in ascending order.  This
+        search solves only the candidates that could matter, best first,
+        and then runs the oracle's own acceptance rule over the solved ones.
 
-        * **Bound pruning** — the assignment value is at most the smaller
-          of the row-max and column-max sums of the weights (each matched
-          entry is bounded by its row's and column's maximum, and each row
-          and column is used at most once); the row/col maxes of
-          ``min(residual, cap)`` are ``min(max(residual), cap)``, so the
-          bound is O(n) per candidate against the O(n³) solve.  A 1e-9
-          relative margin swamps summation rounding, so no candidate the
-          oracle would accept is ever pruned.
-        * **Saturation sharing** — candidates with
-          ``cap >= residual.max()`` all have ``min(residual, cap) ==
-          residual`` element-wise, hence one (deterministic) LSAP solve
-          serves them all.
-        * **Deferred construction** — the served-volume and permutation
-          matrices are materialised once for the winning candidate instead
-          of on every incumbent update (the oracle's rates typically rise
-          with α, so it rebuilds them nearly every iteration).
+        **Value bounds.**  Let V(α) be the largest assignment value at
+        weights ``min(residual, α·Co)``.  Every unsolved candidate k carries
+        an upper bound u_k on V(α_k), the least of:
+
+        * the row-max and column-max sums of its weights (each matched
+          entry is at most its row's and its column's maximum, and the
+          row/col maxes of ``min(residual, cap)`` are
+          ``min(max(residual), cap)``);
+        * V(α′) of any solved α′ > α_k — V is non-decreasing in α, since
+          the weights are;
+        * (α_k/α′)·V(α′) of any solved α′ < α_k — entry by entry,
+          ``min(x, α·Co) ≤ (α/α′)·min(x, α′·Co)`` for α > α′, and the
+          matching that attains V(α) is a candidate matching at α′.
+
+        Candidates with ``cap >= residual.max()`` all have weights
+        ``residual`` exactly, so one (deterministic) solve serves them all.
+        A candidate whose bound is at most ``VOLUME_TOL`` (with a 1e-9
+        margin) would be skipped by the oracle and is never solved; it is
+        *not* solved at value 0 either, because a 0 would wrongly bound
+        every larger α through the scaling rule.
+
+        **Search.**  Repeatedly solve the unsolved candidate with the
+        highest rate bound u_k/(α_k+δ) and tighten its neighbours' bounds,
+        until every unsolved candidate satisfies
+        ``u_k/(α_k+δ)·(1+1e-9)·(1+1e-12)^(K+1) < B``, where B is the best
+        solved rate and K the number of candidates.  The 1e-9 margin
+        swamps the summation and LSAP rounding in the bounds, so each
+        unsolved rate then lies below ``M/(1+1e-12)^(K+1)``, where M is the
+        largest rate of all candidates (and B = M).
+
+        **Why the winner is the oracle's.**  The oracle's rule walks the
+        candidates in ascending α, skips ``value <= VOLUME_TOL`` and takes
+        a candidate only if its rate exceeds the incumbent's by a factor
+        above 1+ε (ε = 1e-12).  Split ``[M/(1+ε)^(K+1), M)`` into K+1
+        bands of ratio 1+ε.  At most K−1 rates fall in them (the M
+        candidate is above), so some band ``[G, G·(1+ε))`` holds no rate.
+        Call a candidate *high* if its rate is at least G·(1+ε), *low*
+        otherwise; every unsolved candidate is low.  Run the rule over all
+        candidates and, in step, over the solved ones only.  While both
+        incumbents are low (or absent), a low candidate keeps them low,
+        whichever run takes it.  The first high candidate beats any low
+        incumbent (its rate is at least G·(1+ε) > b·(1+ε) for b < G), so
+        both runs take it; it is solved, so both see it.  From then on
+        both incumbents are the same high candidate, and a low one can
+        never displace it, so the two runs agree on every later step and
+        end on the same winner.  Only that winner's served-volume and
+        permutation matrices are materialised.
         """
-        row_max = residual.max(axis=1)
-        col_max = residual.max(axis=0)
-        residual_max = float(row_max.max())
-        saturated: "tuple[np.ndarray, float] | None" = None
+        alphas = durations.tolist()
+        count = len(alphas)
+        caps = durations * ocs_rate
+        bounds = np.minimum(
+            np.minimum(residual.max(axis=1), caps[:, None]).sum(axis=1),
+            np.minimum(residual.max(axis=0), caps[:, None]).sum(axis=1),
+        )
+        spans = durations + delta
+        saturated = caps >= residual.max()
+        solved = np.zeros(count, dtype=bool)
+        results: "dict[int, tuple[np.ndarray, float]]" = {}
+        margin = (1 + 1e-9) * (1 + 1e-12) ** (count + 1)
         best_rate = 0.0
-        best_alpha = 0.0
-        best_assignment: "np.ndarray | None" = None
-        for alpha in durations.tolist():
-            cap = alpha * ocs_rate
-            bound = min(
-                float(np.minimum(row_max, cap).sum()),
-                float(np.minimum(col_max, cap).sum()),
+        while True:
+            rate_bounds = np.where(
+                solved | (bounds <= VOLUME_TOL * (1 - 1e-9)), -1.0, bounds / spans
             )
-            if bound <= VOLUME_TOL * (1 - 1e-9):
-                continue  # value <= VOLUME_TOL: oracle would skip too
-            if bound * (1 + 1e-9) <= best_rate * (1 + 1e-12) * (alpha + delta):
-                continue  # cannot beat the incumbent rate
-            if cap >= residual_max:
-                if saturated is None:
-                    saturated = max_weight_matching(residual)
-                assignment, value = saturated
+            k = int(rate_bounds.argmax())
+            if rate_bounds[k] < 0 or rate_bounds[k] * margin < best_rate:
+                break
+            self.last_lsap_solves += 1
+            if saturated[k]:
+                result = max_weight_matching(residual)
+                group = np.flatnonzero(saturated).tolist()
+                k = group[0]
             else:
-                assignment, value = max_weight_matching(
-                    np.minimum(residual, cap)
-                )
+                result = max_weight_matching(np.minimum(residual, alphas[k] * ocs_rate))
+                group = [k]
+            solved[group] = True
+            results.update(dict.fromkeys(group, result))
+            value = result[1]
+            if value > VOLUME_TOL:
+                best_rate = max(best_rate, value / (alphas[k] + delta))
+            # k is the smallest α solved: bound the rest from both sides.
+            np.minimum(bounds[:k], value, out=bounds[:k])
+            np.minimum(
+                bounds[k + 1 :],
+                value * (durations[k + 1 :] / alphas[k]),
+                out=bounds[k + 1 :],
+            )
+        best_rate = 0.0
+        best: "int | None" = None
+        for k in sorted(results):
+            value = results[k][1]
             if value <= VOLUME_TOL:
                 continue
-            rate = value / (alpha + delta)
+            rate = value / (alphas[k] + delta)
             if rate > best_rate * (1 + 1e-12):
                 best_rate = rate
-                best_alpha = alpha
-                best_assignment = assignment
-        if best_assignment is None:
+                best = k
+        if best is None:
             return None
-        weights = np.minimum(residual, best_alpha * ocs_rate)
+        alpha = alphas[best]
+        assignment = results[best][0]
+        weights = np.minimum(residual, alpha * ocs_rate)
         rows = np.arange(residual.shape[0])
         served = np.zeros_like(residual)
-        served[rows, best_assignment] = weights[rows, best_assignment]
-        permutation = assignment_to_permutation(best_assignment)
+        served[rows, assignment] = weights[rows, assignment]
+        permutation = assignment_to_permutation(assignment)
         permutation[served <= VOLUME_TOL] = 0
-        return best_alpha, permutation, served
+        return alpha, permutation, served

@@ -1,8 +1,8 @@
 """Fast matching kernels and the ``REPRO_KERNELS`` backend switch.
 
 The h-Switch hot path (Solstice's BigSlice threshold search, Eclipse's
-greedy duration scan) is dominated by bipartite-matching calls.  This
-module provides the *kernel* implementations of those calls:
+greedy duration search) is dominated by bipartite-matching calls.  This
+module provides the *kernel* implementations of the Solstice calls:
 
 * :class:`WarmMatcher` — a warm-startable perfect-matching **feasibility**
   oracle over thresholded masks of a live (mutating) matrix.  It keeps the
@@ -20,6 +20,14 @@ module provides the *kernel* implementations of those calls:
   The compiled routine sees byte-identical CSR arrays, so the returned
   matching is bit-identical to the plain wrapper's.
 
+Eclipse's kernel path needs no kernel here: it calls the same dense LSAP
+(:func:`repro.matching.max_weight.max_weight_matching`) on the same
+weights, but solves only the candidate durations whose value bounds
+(row/col maxima, and the values of solved neighbours) leave them a chance
+to win — about one in six on Figure 6's radix-128 demands — and then
+applies the oracle's own acceptance rule
+(:meth:`repro.hybrid.eclipse.scheduler.EclipseScheduler._best_step_kernel`).
+
 Backend selection
 -----------------
 ``REPRO_KERNELS=kernel`` (the default) routes the schedulers through the
@@ -27,7 +35,9 @@ kernels; ``REPRO_KERNELS=oracle`` forces the original pure-Python/seed
 code paths, which stay in the tree as correctness oracles.  The CI gate
 records an ``obs baseline`` under the oracle backend and ``obs check``-s
 the kernel backend against it: any schedule-quality drift — one slice
-count, one makespan ulp — fails the build.
+count, one makespan ulp — fails the build.  Pinned schedule and engine
+digests (``tests/test_eclipse_identity.py``,
+``tests/test_engine_identity.py``) run under both backends.
 
 Numba
 -----

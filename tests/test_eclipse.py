@@ -62,6 +62,22 @@ class TestEclipseScheduler:
         with pytest.raises(ValueError):
             EclipseScheduler(window=-1.0).resolved_window(fast_ocs_params(8))
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_window_rejected(self, window, sparse_demand):
+        # nan once gave an empty schedule, inf an empty schedule plus a
+        # spurious clock-stall diagnostic.
+        with pytest.raises(ValueError, match="window must be a finite positive"):
+            EclipseScheduler(window=window).schedule(sparse_demand, fast_ocs_params(8))
+
+    def test_negative_step_cap_rejected(self, sparse_demand):
+        with pytest.raises(ValueError, match="max_steps must be non-negative"):
+            EclipseScheduler(max_steps=-1).schedule(sparse_demand, fast_ocs_params(8))
+
+    def test_zero_step_cap_trips_the_watchdog(self, sparse_demand):
+        scheduler = EclipseScheduler(max_steps=0)
+        assert scheduler.schedule(sparse_demand, fast_ocs_params(8)).n_configs == 0
+        assert [d.event for d in scheduler.last_diagnostics] == ["step-cap"]
+
     def test_schedule_fits_window(self, sparse_demand):
         params = fast_ocs_params(8)
         scheduler = EclipseScheduler()

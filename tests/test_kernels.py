@@ -1,7 +1,7 @@
 """Kernel-vs-oracle bit-identity suite for the ``REPRO_KERNELS`` backends.
 
 The kernel layer (:mod:`repro.matching.kernels`, the ``BigSliceState``
-warm-start path, the Eclipse bound-pruned greedy) is only admissible if it
+warm-start path, the Eclipse best-first greedy step) is only admissible if it
 is **bit-identical** to the pure-Python/seed oracles it replaces — not
 approximately equal: the repo's regression gates compare schedules and
 simulations entry-for-entry.  This suite fuzzes that contract with
@@ -18,6 +18,9 @@ for the three bugfixes that rode along with the kernel work:
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,9 +35,12 @@ from repro.hybrid.solstice.stuffing import quick_stuff_diagnosed
 from repro.matching import kernels
 from repro.matching.birkhoff import birkhoff_von_neumann, is_equal_sum
 from repro.matching.hopcroft_karp import maximum_matching_mask
+from repro.matching.max_weight import max_weight_matching
 from repro.sim import simulate_hybrid
-from repro.switch.params import SwitchParams
+from repro.switch.params import SwitchParams, fast_ocs_params
+from repro.utils.rng import spawn_rngs
 from repro.utils.validation import VOLUME_TOL
+from repro.workloads.skewed import SkewedWorkload
 
 PARAMS = SwitchParams(n_ports=6, eps_rate=10.0, ocs_rate=100.0, reconfig_delay=0.02)
 
@@ -301,6 +307,156 @@ class TestSchedulerIdentity:
             )
         )
         assert same_completion
+
+
+# ---------------------------------------------------------------------- #
+# Eclipse greedy step
+# ---------------------------------------------------------------------- #
+
+OCS_RATE = 100.0
+
+
+def eclipse_residuals(max_n: int = 24):
+    """Residuals for one greedy step: tie-heavy quantised or sparse."""
+    quantised = st.integers(2, max_n).flatmap(
+        lambda n: arrays(
+            np.float64,
+            (n, n),
+            elements=st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.0, 5.0, 30.0]),
+        )
+    )
+    sparse = st.integers(2, max_n).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, (n, n), elements=st.floats(0.0, 50.0, width=32)),
+            arrays(np.bool_, (n, n), elements=st.sampled_from([False, False, True])),
+        ).map(lambda pair: pair[0] * pair[1])
+    )
+    return st.one_of(quantised, sparse).filter(lambda r: r.max() > VOLUME_TOL)
+
+
+delays = st.one_of(st.just(0.0), st.floats(1e-9, 1e3))
+
+
+def _step(backend, residual, delta, available, grid_size=16, durations=None):
+    """One greedy step under ``backend``; ``durations`` overrides the grid."""
+    grid = (
+        contextlib.nullcontext()
+        if durations is None
+        else mock.patch(
+            "repro.hybrid.eclipse.scheduler.candidate_durations",
+            lambda *args, **kwargs: durations.copy(),
+        )
+    )
+    with kernels.use_backend(backend), grid:
+        return EclipseScheduler(grid_size=grid_size)._best_step(
+            residual.copy(), OCS_RATE, delta, available
+        )
+
+
+def _assert_same_step(oracle, kernel):
+    if oracle is None or kernel is None:
+        assert oracle is None and kernel is None
+        return
+    assert np.float64(oracle[0]).tobytes() == np.float64(kernel[0]).tobytes()
+    for a, b in zip(oracle[1:], kernel[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestEclipseStepIdentity:
+    """The kernel's best-first search returns the oracle's (α, permutation,
+    served) byte for byte."""
+
+    @given(
+        residual=eclipse_residuals(),
+        grid_size=st.sampled_from([2, 3, 16, 64]),
+        delta=delays,
+        window=st.floats(-9.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_step_matches_oracle(self, residual, grid_size, delta, window):
+        # From a window far below the smallest drain time up to one past
+        # the largest, where every candidate is saturated.
+        available = 10.0**window * 2 * residual.max() / OCS_RATE
+        oracle = _step(kernels.ORACLE, residual, delta, available, grid_size)
+        kernel = _step(kernels.KERNEL, residual, delta, available, grid_size)
+        _assert_same_step(oracle, kernel)
+
+    @given(
+        residual=eclipse_residuals(max_n=12),
+        exponents=st.lists(st.floats(-14.0, 1.0), min_size=1, max_size=24),
+        delta=delays,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_step_matches_oracle_on_any_grid(self, residual, exponents, delta):
+        # Grids the quantile rule never builds, down to durations whose
+        # every weight is below VOLUME_TOL: such a candidate is dismissed
+        # unsolved, and must not bound the larger ones as if worth 0.
+        durations = np.unique(10.0 ** np.array(exponents))
+        oracle = _step(kernels.ORACLE, residual, delta, 1.0, durations=durations)
+        kernel = _step(kernels.KERNEL, residual, delta, 1.0, durations=durations)
+        _assert_same_step(oracle, kernel)
+
+    def test_near_tied_rates_keep_the_earlier_candidate(self):
+        # Unsaturated at both durations, V(α) = 4·α·Co, so the later rate
+        # is higher, but by less than the rule's 1e-12 relative margin.
+        residual = np.diag([1000.0] * 4)
+        durations = np.array([0.5, 1.0])
+        delta = 5e-13
+        first = 4 * 0.5 * OCS_RATE / (0.5 + delta)
+        second = 4 * 1.0 * OCS_RATE / (1.0 + delta)
+        assert first < second <= first * (1 + 1e-12)
+        oracle = _step(kernels.ORACLE, residual, delta, 1.0, durations=durations)
+        kernel = _step(kernels.KERNEL, residual, delta, 1.0, durations=durations)
+        assert oracle[0] == 0.5
+        _assert_same_step(oracle, kernel)
+
+    @pytest.mark.parametrize(
+        "y,durations,delta,winner",
+        [
+            # Solved first, α = 1 gives V = cap = 100: the scaled bound
+            # (1.5/1)·100 on α = 1.5 is exact, and α = 1.5 wins by 0.03 %.
+            (40.0, (1.0, 1.5), 1e-3, 1.5),
+            # Solved first, α = 1.1 gives V = 2y = 120 = V(0.7): the
+            # monotone bound on α = 0.7 is exact, and α = 0.7 wins by 0.04 %.
+            (60.0, (0.7, 1.1), 1e3, 0.7),
+        ],
+    )
+    def test_exact_neighbour_bound_still_reaches_the_winner(
+        self, y, durations, delta, winner
+    ):
+        # V(α) = max(min(1000, α·Co), 2·min(y, α·Co)); the row/col bound
+        # min(1000, α·Co) + y is loose, so the loser is solved first.
+        residual = np.array([[1000.0, y], [y, 0.0]])
+        durations = np.array(durations)
+        oracle = _step(kernels.ORACLE, residual, delta, 1.0, durations=durations)
+        kernel = _step(kernels.KERNEL, residual, delta, 1.0, durations=durations)
+        assert oracle[0] == winner
+        _assert_same_step(oracle, kernel)
+
+    def test_fig6_step_solves_fewer_candidates_than_it_has(self):
+        params = fast_ocs_params(64)
+        (rng,) = spawn_rngs(1, 1)
+        residual = SkewedWorkload.for_params(params).generate(64, rng).demand
+        delta = params.reconfig_delay
+        available = EclipseScheduler().resolved_window(params) - delta
+        solves = {}
+        for backend in (kernels.ORACLE, kernels.KERNEL):
+            scheduler = EclipseScheduler()
+            with kernels.use_backend(backend), mock.patch(
+                "repro.hybrid.eclipse.scheduler.max_weight_matching",
+                wraps=max_weight_matching,
+            ) as solve:
+                solves[backend] = scheduler._best_step(
+                    residual.copy(), params.ocs_rate, delta, available
+                )
+            assert scheduler.last_lsap_solves == solve.call_count
+            if backend == kernels.ORACLE:
+                candidates = scheduler.last_candidates
+                assert solve.call_count == candidates
+        _assert_same_step(solves[kernels.ORACLE], solves[kernels.KERNEL])
+        assert candidates > 8
+        assert 2 * scheduler.last_lsap_solves <= candidates
 
 
 # ---------------------------------------------------------------------- #

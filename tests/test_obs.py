@@ -23,6 +23,8 @@ from repro.core.scheduler import CpSwitchScheduler
 from repro.faults import FaultPlan
 from repro.hybrid.eclipse import EclipseScheduler
 from repro.hybrid.solstice import SolsticeScheduler
+from repro.matching import kernels
+from repro.obs.diff import QUALITY_COUNTERS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.summarize import load_trace, render_summary
 from repro.obs.tracer import JsonlTracer, NULL_TRACER
@@ -286,6 +288,27 @@ class TestInstrumentation:
             assert stage in by_name
         # The inner h-Switch scheduler's span nests under cpsched.inner.
         assert by_name["solstice.schedule"]["parent"] == by_name["cpsched.inner"]["id"]
+
+    def test_eclipse_span_counts_lsap_solves(self):
+        demand = _demand(2)
+        for backend in (kernels.ORACLE, kernels.KERNEL):
+            tracer, registry = JsonlTracer(), MetricsRegistry()
+            scheduler = EclipseScheduler()
+            with kernels.use_backend(backend), obs.observability(
+                tracer=tracer, metrics=registry
+            ):
+                scheduler.schedule(demand, PARAMS)
+            (span,) = [r for r in tracer.records() if r["name"] == "eclipse.schedule"]
+            attrs = span["attrs"]
+            assert attrs["candidates"] == scheduler.last_candidates > 0
+            assert 0 < attrs["lsap_solves"] == scheduler.last_lsap_solves
+            assert attrs["lsap_solves"] <= attrs["candidates"]
+            if backend == kernels.ORACLE:
+                assert attrs["lsap_solves"] == attrs["candidates"]
+            (entry,) = registry.snapshot()["eclipse_lsap_solves_total"]["values"]
+            assert entry["value"] == attrs["lsap_solves"]
+        # The backends solve different counts for the same schedule.
+        assert "eclipse_lsap_solves_total" not in QUALITY_COUNTERS
 
     def test_eclipse_watchdog_event(self):
         demand = _demand(2)
